@@ -25,8 +25,9 @@ The package is organised in layers (see ``DESIGN.md`` for the full map):
     paper, a finite-domain constraint solver and the model-checking engines
     used for test-data generation.
 ``repro.testgen``
-    hybrid test-data generation: genetic algorithm first, model checking for
-    the remaining paths, infeasibility detection.
+    hybrid test-data generation: random testing, then model checking
+    (witnesses and infeasibility proofs), then a genetic search for the
+    paths the solver's budget left open.
 ``repro.hw`` / ``repro.measurement`` / ``repro.wcet``
     the HCS12-style execution-time substrate, instrumented measurement runs
     and the timing-schema WCET bound computation.

@@ -23,11 +23,12 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..minic.ast_nodes import Expr, Node, Stmt
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class EdgeKind(enum.Enum):
@@ -468,6 +469,10 @@ class ControlFlowGraph:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> "nx.MultiDiGraph":
         """Export the CFG as a :class:`networkx.MultiDiGraph`."""
+        # imported here: networkx is only needed for this export and costs
+        # a visible share of the package import time
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.function_name)
         for block in self.blocks():
             graph.add_node(block.block_id, label=block.label(), kind=block.kind.value)

@@ -7,7 +7,7 @@
    path bound (``repro.cfg``, ``repro.partition``),
 3. place instrumentation points (``repro.partition.instrument``),
 4. generate test data for every segment path with the hybrid
-   random / genetic / model-checking process (``repro.testgen``),
+   random / model-checking / genetic process (``repro.testgen``),
 5. execute the instrumented program on the simulated HCS12 board and collect
    per-segment execution times (``repro.hw``, ``repro.measurement``),
 6. combine the per-segment maxima into a WCET bound with the timing schema
@@ -306,30 +306,30 @@ class WcetAnalyzer:
 
         # 5. WCET bound via the timing schema; segments whose every path was
         #    proven infeasible contribute nothing (they can never execute),
-        #    while feasible-but-unmeasured segments (uncovered targets,
-        #    exhausted query budgets) enter at a static worst-case estimate
-        #    instead of failing the analysis
+        #    while a segment with any path neither covered nor proven
+        #    infeasible (uncovered targets, exhausted query budgets) weighs
+        #    max(measured, static worst-case estimate): its measured maximum
+        #    says nothing about the path it never ran
+        degraded = bool(fault_events)
         with obs.span("analyze.schema", function=self._function):
             unreachable = self._fully_infeasible_segments(
                 partition, suite, database
             )
+            open_segments = {
+                report.target.segment_id for report in suite.uncovered_targets
+            }
             pessimised = {
                 segment.segment_id: static_segment_pessimisation(
                     cfg, segment, cost_model
                 )
                 for segment in partition.segments
-                if database.max_cycles(segment.segment_id) is None
-                and segment.segment_id not in unreachable
+                if segment.segment_id not in unreachable
+                and (
+                    degraded
+                    or segment.segment_id in open_segments
+                    or database.max_cycles(segment.segment_id) is None
+                )
             }
-            floors = None
-            if fault_events:
-                floors = {
-                    segment.segment_id: static_segment_pessimisation(
-                        cfg, segment, cost_model
-                    )
-                    for segment in partition.segments
-                    if segment.segment_id not in unreachable
-                }
             schema = TimingSchema(
                 cfg,
                 partition,
@@ -345,7 +345,6 @@ class WcetAnalyzer:
                 database,
                 unreachable_segments=unreachable,
                 pessimised_segments=pessimised,
-                floor_segments=floors,
             )
 
         # 6. optional exhaustive end-to-end comparison; the verification board
@@ -387,7 +386,7 @@ class WcetAnalyzer:
             callee_bounds_used=dict(sorted(self._callee_bounds.items())),
             summarised_call_sites=self._summarised_site_count(function),
             mc_diagnostics=dict(suite.mc_diagnostics),
-            degraded=floors is not None,
+            degraded=degraded,
             fault_events=fault_events,
             sa_diagnostics=(
                 [diagnostic.to_dict() for diagnostic in sa_result.diagnostics]

@@ -15,8 +15,9 @@ The GA here is the standard search-based-testing setup:
   branch distances the instrumented interpreter reports;
 * tournament selection, uniform crossover, per-gene mutation and elitism.
 
-The GA runs per target path; the hybrid driver gives it a budget and falls
-back to model checking for whatever remains uncovered.
+The GA runs per target path under a fixed budget; the hybrid driver hands
+it only the targets whose model-checking query came back undecided (budget
+exhausted, unknown, engine fault).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The hybrid test-data generation driver (heuristics first, model checking last).
+"""The hybrid test-data generation driver (random, model checking, genetic).
 
 Section 3 of the paper:
 
@@ -10,18 +10,34 @@ Section 3 of the paper:
     If no data pattern is found for a selected path the path is deemed
     infeasible."
 
-:class:`HybridTestDataGenerator` implements exactly that control loop:
+The paper orders the phases by their cost on silicon, where a model-checking
+query took seconds to minutes (Table 2) and a heuristic test run was nearly
+free.  Here the costs run the other way: the sound static prefilter plus one
+budgeted, sliced query batch settles a function's targets in milliseconds,
+while a genetic search that fails spends its whole budget (~1,150 simulated
+board runs) -- and the targets it fails on are mostly infeasible ones the
+model checker then proves so.  :class:`HybridTestDataGenerator` therefore
+runs
 
 1. random sampling until no new segment path is covered for
    ``plateau_patterns`` consecutive vectors,
-2. one genetic-algorithm search per still-uncovered path target,
-3. one model-checking query per target that the heuristics missed, yielding
-   either a test vector or an infeasibility proof.
+2. one model-checking batch over every still-uncovered target, yielding a
+   witness vector (replayed on the board) or an infeasibility proof,
+3. one genetic-algorithm search per target the solver left open (unknown,
+   budget exhausted, engine fault), seeded with every vector so far --
+   the model-checking witnesses included.
+
+A target counts as covered only when a board run of some phase executed its
+segment path; that phase gets the credit and its vector joins the suite, so
+the measurement campaign observes every covered path.  Targets no phase
+executed or proved infeasible are reported uncovered, and the analyzer
+pessimises their segments.
 
 The resulting :class:`TestSuite` carries the vectors, the per-target
-provenance (random / genetic / model checking / infeasible) and the statistics
-the paper cites (the share of targets the heuristics covered, expected to be
-above 90 %).
+provenance (random / genetic / model checking / infeasible / uncovered) and
+the share of covered targets found without model checking.  With the genetic
+search running last it rarely covers anything, so the share is in practice
+random / (random + model checking); the paper expects above 90 %.
 """
 
 from __future__ import annotations
@@ -96,7 +112,8 @@ class TestSuite:
     random_vectors_used: int = 0
     genetic_evaluations: int = 0
     model_checking_queries: int = 0
-    #: queries whose QueryBudget ran out (reported uncovered, pessimised)
+    #: queries whose QueryBudget ran out (their targets go to the genetic
+    #: search, and are reported uncovered and pessimised if it misses them)
     budget_exhausted_queries: int = 0
     #: queries where every engine stage died on an (injected) solver fault
     engine_fault_queries: int = 0
@@ -123,7 +140,9 @@ class TestSuite:
         """Fraction of feasible, covered targets found without model checking.
 
         The paper (citing Tracey et al.) expects heuristics to deliver more
-        than 90 % of the required test cases.
+        than 90 % of the required test cases.  Model checking runs before the
+        genetic search, which only sees what the solver left open, so this
+        is in practice random / (random + model checking).
         """
         heuristic = len(self.targets_by_source(CoverageSource.RANDOM)) + len(
             self.targets_by_source(CoverageSource.GENETIC)
@@ -180,7 +199,7 @@ class HybridTestDataGenerator:
         return self._space
 
     def generate(self) -> TestSuite:
-        """Run all three phases and return the complete test suite."""
+        """Run the phases (random, model checking, genetic) and return the suite."""
         coverage = CoverageTracker.create(self._partition, self._cfg)
         suite = TestSuite(function_name=self._function)
 
@@ -189,38 +208,63 @@ class HybridTestDataGenerator:
         # remaining phases cover still improves the suite, uncovered targets
         # keep their pessimistic static charge, and the analyzer floors the
         # whole bound once any fault fired
-        phases = [("random", lambda: self._random_phase(coverage, suite))]
-        if self._options.use_genetic:
-            phases.append(("genetic", lambda: self._genetic_phase(coverage, suite)))
+        phases = [(CoverageSource.RANDOM, self._random_phase)]
         if self._options.use_model_checking:
-            phases.append(
-                ("model-checking", lambda: self._model_checking_phase(coverage, suite))
-            )
-        for phase_name, phase in phases:
+            phases.append((CoverageSource.MODEL_CHECKING, self._model_checking_phase))
+        if self._options.use_genetic:
+            phases.append((CoverageSource.GENETIC, self._genetic_phase))
+        for source, phase in phases:
             try:
-                phase()
+                phase(coverage, suite)
             except InjectedFault as fault:
                 suite.fault_events.append(
-                    f"{phase_name} phase cut short by injected fault: {fault}"
+                    f"{source.value} phase cut short by injected fault: {fault}"
                 )
+            self._report_executed(coverage, suite, source)
 
-        # final bookkeeping: record provenance of targets covered in phase 1/2
-        reported = {report.target.key for report in suite.reports}
-        for target in coverage.targets:
-            if target.key in reported:
-                continue
-            vector = coverage.covering_vector(target)
-            if vector is not None:
-                suite.reports.append(
-                    TargetReport(target=target, source=CoverageSource.RANDOM, vector=vector)
-                )
-            else:
-                suite.reports.append(
-                    TargetReport(target=target, source=CoverageSource.UNCOVERED)
-                )
+        # whatever no phase executed or proved infeasible is pessimised
+        for target in self._open_targets(coverage, suite):
+            suite.reports.append(
+                TargetReport(target=target, source=CoverageSource.UNCOVERED)
+            )
         return suite
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _report_executed(
+        coverage: CoverageTracker, suite: TestSuite, source: CoverageSource
+    ) -> None:
+        """Credit *source* with every target some board run of it executed.
+
+        "Covered" means the coverage tracker saw the segment path on the
+        board, never that a search claimed success.  Side-covered targets
+        (hit while chasing another target) count for the phase that ran
+        them, and their covering vector joins the suite so the measurement
+        campaign observes the path.
+        """
+        reported = {report.target.key for report in suite.reports}
+        targets = {target.key: target for target in coverage.targets}
+        # the tracker's dict keeps discovery order, so the suite lists its
+        # vectors in the order they first covered something
+        for key, vector in coverage.covered.items():
+            if key in reported:
+                continue
+            target = targets[key]
+            suite.add_vector(vector)
+            suite.reports.append(
+                TargetReport(target=target, source=source, vector=dict(vector))
+            )
+
+    @staticmethod
+    def _open_targets(coverage: CoverageTracker, suite: TestSuite) -> list[PathTarget]:
+        """Targets neither executed nor decided by an earlier phase."""
+        reported = {report.target.key for report in suite.reports}
+        return [
+            target
+            for target in coverage.uncovered_targets()
+            if target.key not in reported
+        ]
+
     def _random_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
         generator = RandomTestDataGenerator(self._space, seed=self._options.seed)
         without_progress = 0
@@ -232,74 +276,59 @@ class HybridTestDataGenerator:
         ):
             vector = generator.generate(1)[0]
             produced += 1
+            suite.random_vectors_used = produced
             run = self._board.run(self._function, vector)
-            newly = coverage.record_run(run)
-            if newly:
+            if coverage.record_run(run):
                 without_progress = 0
-                suite.add_vector(vector)
-                for target in newly:
-                    suite.reports.append(
-                        TargetReport(
-                            target=target, source=CoverageSource.RANDOM, vector=dict(vector)
-                        )
-                    )
             else:
                 without_progress += 1
-        suite.random_vectors_used = produced
-
-    def _genetic_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
-        generator = GeneticTestDataGenerator(
-            self._board, self._function, self._space, self._options.genetic
-        )
-        seeds = [dict(vector) for vector in suite.vectors]
-        for target in list(coverage.uncovered_targets()):
-            if target.key in {r.target.key for r in suite.reports}:
-                continue
-            if coverage.covering_vector(target) is not None:
-                continue
-            outcome = generator.search(target, coverage=coverage, seed_vectors=seeds)
-            if outcome.covered and outcome.vector is not None:
-                suite.add_vector(outcome.vector)
-                suite.reports.append(
-                    TargetReport(
-                        target=target, source=CoverageSource.GENETIC, vector=outcome.vector
-                    )
-                )
-        suite.genetic_evaluations = generator.statistics.evaluations
 
     def _model_checking_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
+        targets = self._open_targets(coverage, suite)
+        if not targets:
+            return
         generator = ModelCheckingTestDataGenerator(
             self._analyzed, self._function, self._options.model_checking
         )
         # one query plan for every remaining target: shared path prefixes are
         # probed once and witnesses found for one target answer its siblings
-        targets = list(coverage.uncovered_targets())
-        for outcome in generator.generate_for_targets(targets):
-            target = outcome.target
-            if outcome.status is TargetStatus.COVERED and outcome.vector is not None:
-                vector = self._space.clamp(outcome.vector)
-                suite.add_vector(vector)
-                suite.reports.append(
-                    TargetReport(
-                        target=target, source=CoverageSource.MODEL_CHECKING, vector=vector
-                    )
-                )
-                # replay the witness so the coverage tracker (and later the
-                # measurement campaign) sees the newly covered path
-                run = self._board.run(self._function, vector)
-                coverage.record_run(run)
-            elif outcome.status is TargetStatus.INFEASIBLE:
-                suite.reports.append(
-                    TargetReport(target=target, source=CoverageSource.INFEASIBLE)
-                )
-            else:
-                # UNKNOWN, BUDGET_EXHAUSTED and ENGINE_FAULT all pessimise:
-                # the target stays uncovered, the segment keeps its static
-                # charge
-                suite.reports.append(
-                    TargetReport(target=target, source=CoverageSource.UNCOVERED)
-                )
+        outcomes = generator.generate_for_targets(targets)
         suite.model_checking_queries = generator.statistics.queries
         suite.budget_exhausted_queries = generator.statistics.budget_exhausted
         suite.engine_fault_queries = generator.statistics.engine_faults
         suite.mc_diagnostics = generator.query_diagnostics()
+        for outcome in outcomes:
+            if outcome.status is TargetStatus.COVERED and outcome.vector is not None:
+                # replay the witness: only the board run makes the target
+                # covered (and measured by the campaign later)
+                vector = self._space.clamp(outcome.vector)
+                suite.add_vector(vector)
+                coverage.record_run(self._board.run(self._function, vector))
+        for outcome in outcomes:
+            if (
+                outcome.status is TargetStatus.INFEASIBLE
+                and coverage.covering_vector(outcome.target) is None
+            ):
+                suite.reports.append(
+                    TargetReport(target=outcome.target, source=CoverageSource.INFEASIBLE)
+                )
+        # UNKNOWN, BUDGET_EXHAUSTED and ENGINE_FAULT targets (and a witness
+        # the board did not follow) stay open for the genetic search
+
+    def _genetic_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
+        targets = self._open_targets(coverage, suite)
+        if not targets:
+            return
+        generator = GeneticTestDataGenerator(
+            self._board, self._function, self._space, self._options.genetic
+        )
+        # the population starts from every vector so far, MC witnesses
+        # included: they already reach deep into the function
+        seeds = [dict(vector) for vector in suite.vectors]
+        try:
+            for target in targets:
+                if coverage.covering_vector(target) is not None:
+                    continue
+                generator.search(target, coverage=coverage, seed_vectors=seeds)
+        finally:
+            suite.genetic_evaluations = generator.statistics.evaluations

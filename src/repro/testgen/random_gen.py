@@ -2,8 +2,9 @@
 
 The cheapest heuristic: uniform sampling of the input space.  The hybrid
 driver runs it first because for well-conditioned generated code a large share
-of segment paths is hit by random data alone; the genetic algorithm then works
-on what is left, and model checking finishes the job.
+of segment paths is hit by random data alone; model checking then decides
+what is left, and the genetic algorithm searches for whatever the solver's
+budget left open.
 """
 
 from __future__ import annotations

@@ -110,9 +110,9 @@ class SegmentContribution:
     #: (``call overhead + callee WCET bound`` per site); the segment weight is
     #: never below this, even when measurement under-covered the call
     summarised_call_cycles: int = 0
-    #: True when the weight is the static pessimisation of an unmeasured
-    #: segment (no observation, no infeasibility proof -- e.g. every query
-    #: for it exhausted its budget)
+    #: True when the weight is the static pessimisation of a segment with a
+    #: path neither measured nor proven infeasible (e.g. its query exhausted
+    #: its budget), because the estimate exceeds every measurement
     pessimised: bool = False
 
     @property
@@ -180,7 +180,6 @@ class TimingSchema:
         database: MeasurementDatabase,
         unreachable_segments: set[int] | None = None,
         pessimised_segments: Mapping[int, int] | None = None,
-        floor_segments: Mapping[int, int] | None = None,
     ) -> WcetBound:
         """Combine per-segment maxima into the WCET bound.
 
@@ -188,22 +187,17 @@ class TimingSchema:
         infeasible (every path through them was proven unreachable by the
         model checker); they contribute zero cycles instead of raising a
         missing-measurement error.  ``pessimised_segments`` maps segments
-        that are *not* proven infeasible but have no measurement either
-        (uncovered targets, exhausted query budgets) to a static worst-case
-        estimate (:func:`static_segment_pessimisation`): they enter the
-        bound at that estimate instead of failing the computation.
-        ``floor_segments`` maps segments to a static lower floor applied *on
-        top of* measurement: ``weight = max(measured, floor)``.  The
-        degradation path uses it when a fault may have cost observations
-        (a vector lost mid-campaign, a solver query dropped): flooring every
-        feasible segment at its static estimate keeps the bound at least as
-        large as both the fault-free bound and anything actually observed.
+        whose measurement may miss a feasible path to a static worst-case
+        estimate (:func:`static_segment_pessimisation`); their weight is
+        ``max(measured, estimate)``, or the estimate alone when nothing was
+        measured.  The analyzer passes every segment with a target that is
+        neither covered nor proven infeasible (uncovered, exhausted query
+        budget) -- a partially measured segment's maximum says nothing about
+        its unmeasured paths -- and, after an injected fault that may have
+        cost observations, every feasible segment.
         """
         weights = self._segment_weights(
-            database,
-            unreachable_segments or set(),
-            pessimised_segments or {},
-            floor_segments or {},
+            database, unreachable_segments or set(), pessimised_segments or {}
         )
         clusters = self._loop_clusters()
         cluster_of: dict[int, int] = {}
@@ -295,7 +289,6 @@ class TimingSchema:
         database: MeasurementDatabase,
         unreachable: set[int],
         pessimised: Mapping[int, int],
-        floors: Mapping[int, int],
     ) -> dict[int, SegmentContribution]:
         iteration = self._iteration_factors()
         weights: dict[int, SegmentContribution] = {}
@@ -304,19 +297,19 @@ class TimingSchema:
             statically_pessimised = False
             if max_cycles is None and segment.segment_id in unreachable:
                 max_cycles = 0
-            if max_cycles is None and segment.segment_id in pessimised:
-                max_cycles = pessimised[segment.segment_id]
+            estimate = pessimised.get(segment.segment_id)
+            if (
+                estimate is not None
+                and segment.segment_id not in unreachable
+                and (max_cycles is None or estimate > max_cycles)
+            ):
+                max_cycles = estimate
                 statically_pessimised = True
             if max_cycles is None:
                 raise WcetComputationError(
                     f"segment {segment.segment_id} has no measurements; "
                     "run the measurement campaign first"
                 )
-            if segment.segment_id not in unreachable:
-                floor = floors.get(segment.segment_id)
-                if floor is not None and floor > max_cycles:
-                    max_cycles = floor
-                    statically_pessimised = True
             call_floor = self._summarised_call_floor(segment.block_ids)
             if segment.segment_id not in unreachable:
                 max_cycles = max(max_cycles, call_floor)

@@ -180,3 +180,59 @@ class TestTestgenMeasurementConsistency:
         partition = partition_function(function, 2, cfg)
         targets = build_targets(partition, cfg)
         assert len(targets) == partition.measurements
+
+
+# ---------------------------------------------------------------------- #
+#: ROADMAP 1a: `x = a + 10` wraps on the board (a = 65526..65528 gives
+#: x < 3 and runs the 16 external calls), while the model checker's
+#: saturating arithmetic calls that branch infeasible
+WRAP_SOURCE = """
+#pragma input a
+#pragma range a 0 65535
+UInt16 a; UInt16 x;
+int main() { x = a; x = x + 10;
+  if (x < 3) {
+    ext2(); ext3(); ext4(); ext5(); ext6(); ext7(); ext8(); ext9();
+    ext10(); ext11(); ext12(); ext13(); ext14(); ext15(); ext16(); ext17();
+  } else { ext1(); }
+  return 0; }
+"""
+
+
+def _wrap_report(slicing: bool):
+    from repro.testgen import ModelCheckGeneratorOptions
+
+    config = AnalyzerConfig(
+        hybrid=HybridOptions(
+            model_checking=ModelCheckGeneratorOptions(slicing=slicing)
+        )
+    )
+    return WcetAnalyzer.from_source(WRAP_SOURCE, "main", config).analyze()
+
+
+def _wrapped_run_cycles() -> int:
+    from repro.minic import parse_and_analyze
+
+    board = EvaluationBoard(parse_and_analyze(WRAP_SOURCE))
+    return board.run("main", {"a": 65527}).total_cycles
+
+
+class TestPartiallyCoveredSegments:
+    def test_roadmap_1b_budget_exhausted_path_pessimises_its_segment(self):
+        """Without slicing the query for the wrapped branch exhausts its
+        budget; the segment is measured on its other path only, so it must
+        weigh at least its static estimate -- enough for the wrapped run."""
+        report = _wrap_report(slicing=False)
+        assert report.generator_statistics["model_checking_budget_exhausted"] == 1
+        assert report.bound.pessimised_segments
+        assert _wrapped_run_cycles() == 480
+        assert report.wcet_bound_cycles >= 480
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1a: the model checker saturates where the board wraps, "
+        "so it proves the wrapped branch infeasible",
+    )
+    def test_roadmap_1a_wrapping_branch_is_not_infeasible(self):
+        report = _wrap_report(slicing=True)
+        assert report.wcet_bound_cycles >= _wrapped_run_cycles()

@@ -134,6 +134,25 @@ class TestTimingSchema:
         )
         assert bound.bound_cycles > 0
 
+    def test_pessimised_segment_weighs_max_of_measured_and_estimate(
+        self, figure1, figure1_cfg, figure1_setup
+    ):
+        board, partition, plan, runner = figure1_setup
+        database = MeasurementDatabase()
+        runner.run_vectors([{"i": 0}, {"i": 1}], database)
+        schema = TimingSchema(figure1_cfg, partition)
+        measured = schema.compute(database)
+        segment = partition.segments[0].segment_id
+        measured_weight = measured.contribution(segment).max_cycles
+        above = schema.compute(
+            database, pessimised_segments={segment: measured_weight + 1000}
+        )
+        assert above.contribution(segment).max_cycles == measured_weight + 1000
+        assert above.pessimised_segments == [segment]
+        below = schema.compute(database, pessimised_segments={segment: 1})
+        assert below.contribution(segment).max_cycles == measured_weight
+        assert below.pessimised_segments == []
+
     def test_critical_path_segments_are_flagged(self, figure1, figure1_cfg, figure1_setup):
         board, partition, plan, runner = figure1_setup
         database = MeasurementDatabase()

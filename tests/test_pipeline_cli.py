@@ -109,3 +109,30 @@ class TestCli:
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli_main([])
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        """networkx backs only ``ControlFlowGraph.to_networkx``; importing
+        the CLI must not pay for it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

@@ -394,3 +394,39 @@ class TestProjectCli:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------- #
+#: default-config bounds of generate_call_chain_workload(seed=2005); the
+#: model-checking batch decides every target random testing leaves, so the
+#: genetic search never runs and the bounds match the genetic-first order
+CALL_CHAIN_BOUNDS = {
+    "chain_leaf": 57,
+    "chain_mid": 122,
+    "chain_top": 187,
+    "diamond_left": 122,
+    "diamond_right": 118,
+    "task_0": 541,
+    "local_helper": 248,
+    "solo_task": 96,
+    "task_1": 409,
+}
+
+
+@pytest.mark.project
+class TestCostOrderedTestGeneration:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_call_chain_needs_no_genetic_search(self, workers):
+        from repro.workloads.multi import generate_call_chain_workload
+
+        workload = generate_call_chain_workload(seed=2005)
+        report = ProjectScheduler(
+            Project.from_sources(workload.sources), workers=workers
+        ).run()
+        assert not report.failures
+        assert {f.function: f.wcet_bound_cycles for f in report.functions} == (
+            CALL_CHAIN_BOUNDS
+        )
+        for summary in report.functions:
+            assert summary.generator_statistics["genetic_evaluations"] == 0
+            assert summary.safe

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cfg import build_cfg
 from repro.hw import EvaluationBoard
+from repro.mc.query import QueryBudget
 from repro.minic import parse_and_analyze
 from repro.partition import partition_function
 from repro.testgen import (
@@ -18,6 +19,7 @@ from repro.testgen import (
     HybridOptions,
     HybridTestDataGenerator,
     InputSpace,
+    ModelCheckGeneratorOptions,
     ModelCheckingTestDataGenerator,
     RandomTestDataGenerator,
     TargetStatus,
@@ -300,3 +302,101 @@ class TestHybridGenerator:
             if report.source in (CoverageSource.RANDOM, CoverageSource.GENETIC,
                                  CoverageSource.MODEL_CHECKING):
                 assert report.vector is not None
+
+
+# ---------------------------------------------------------------------- #
+# phase order and "covered means executed"
+# ---------------------------------------------------------------------- #
+COVERED_SOURCES = (
+    CoverageSource.RANDOM,
+    CoverageSource.GENETIC,
+    CoverageSource.MODEL_CHECKING,
+)
+
+
+@pytest.fixture(scope="module")
+def small_app():
+    """A 47-block synthetic function where the genetic search side-covers
+    targets and reached fitness 0 on a target it never executed."""
+    from repro.partition.partitioner import PaperPartitioner
+    from repro.workloads.targetlink import generate_small_application
+
+    app = generate_small_application(seed=9, target_blocks=40)
+    function = app.analyzed.program.function(app.function_name)
+    partition = PaperPartitioner(4).partition(function, app.cfg)
+    return app, partition
+
+
+def _small_app_suite(small_app, **options):
+    app, partition = small_app
+    board = EvaluationBoard(app.analyzed)
+    generator = HybridTestDataGenerator(
+        app.analyzed, app.function_name, board, partition, app.cfg,
+        HybridOptions(**options),
+    )
+    return generator.generate(), board
+
+
+class TestHybridPhaseOrder:
+    def test_budget_left_target_reaches_the_genetic_search(self, needle):
+        analyzed, cfg, partition, board, _ = needle
+        options = HybridOptions(
+            plateau_patterns=40,
+            max_random_vectors=200,
+            genetic=GeneticOptions(population_size=40, max_generations=60, seed=5),
+            model_checking=ModelCheckGeneratorOptions(
+                budget=QueryBudget(max_steps=1), slicing=False
+            ),
+            seed=3,
+        )
+        suite = HybridTestDataGenerator(
+            analyzed, "f", board, partition, cfg, options
+        ).generate()
+        deep = next(
+            report for report in suite.reports
+            if report.target.blocks == (deep_needle_block(cfg),)
+        )
+        assert suite.budget_exhausted_queries >= 1
+        assert suite.genetic_evaluations > 0
+        assert deep.source is CoverageSource.GENETIC
+        assert deep_needle_block(cfg) in board.run("f", deep.vector).executed_blocks
+
+    def test_model_checking_runs_before_the_genetic_search(self, needle):
+        analyzed, cfg, partition, board, _ = needle
+        options = HybridOptions(plateau_patterns=40, max_random_vectors=200, seed=3)
+        suite = HybridTestDataGenerator(
+            analyzed, "f", board, partition, cfg, options
+        ).generate()
+        assert suite.is_complete()
+        assert suite.genetic_evaluations == 0
+        assert suite.targets_by_source(CoverageSource.MODEL_CHECKING)
+
+    @pytest.mark.parametrize("use_model_checking", [True, False])
+    def test_every_target_gets_exactly_one_report(self, small_app, use_model_checking):
+        app, partition = small_app
+        suite, _ = _small_app_suite(small_app, use_model_checking=use_model_checking)
+        keys = [report.target.key for report in suite.reports]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted(t.key for t in build_targets(partition, app.cfg))
+
+    @pytest.mark.parametrize("use_model_checking", [True, False])
+    def test_roadmap_1c_suite_vectors_execute_every_covered_target(
+        self, small_app, use_model_checking
+    ):
+        """Replaying the suite on a fresh tracker covers every target the
+        suite reports covered: side-covered targets' vectors are in it, and
+        a genetic search that only reached fitness 0 is not a cover."""
+        app, partition = small_app
+        suite, board = _small_app_suite(
+            small_app, use_model_checking=use_model_checking
+        )
+        fresh = CoverageTracker.create(partition, app.cfg)
+        for vector in suite.vectors:
+            fresh.record_run(board.run(app.function_name, vector))
+        claimed = [r for r in suite.reports if r.source in COVERED_SOURCES]
+        assert claimed
+        assert [
+            r.target.key for r in claimed if fresh.covering_vector(r.target) is None
+        ] == []
+        if not use_model_checking:
+            assert suite.genetic_evaluations > 0
