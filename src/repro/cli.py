@@ -119,8 +119,6 @@ def _apply_mc_flags(config: AnalyzerConfig, args: argparse.Namespace) -> None:
     mc.budget = budget
     if args.no_slicing:
         mc.slicing = False
-    if getattr(args, "probe_policy", None) is not None:
-        mc.probe_policy = args.probe_policy
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -156,12 +154,6 @@ def _add_mc_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-slicing", action="store_true",
         help="disable per-goal cone-of-influence slicing of the model",
-    )
-    parser.add_argument(
-        "--probe-policy", choices=("adaptive", "fixed"), default=None,
-        help="prefix-probe insertion policy of the query plan: 'adaptive' "
-        "(payoff heuristic, default) or 'fixed' (historical >= 3-sharers "
-        "threshold)",
     )
 
 

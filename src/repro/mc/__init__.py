@@ -1,7 +1,7 @@
 """Model checking: reachability engines, goals, results (the SAL stand-in).
 
 Since the query-engine refactor every reachability question goes through
-:mod:`repro.mc.query`: a planned, budgeted, relevance-sliced portfolio of
+:mod:`repro.mc.query`: a budgeted, relevance-sliced portfolio of
 the explicit and symbolic engines.  :class:`ModelChecker` is the facade the
 tool chain talks to.
 """
@@ -13,12 +13,10 @@ from .explicit import ExplicitEngineOptions, ExplicitStateEngine, StateSpaceTooL
 from .property import GoalBuilder, ReachabilityGoal
 from .query import (
     EngineKind,
-    PlannedQuery,
     QueryBudget,
     QueryEngine,
     QueryEngineOptions,
     QueryEngineStats,
-    QueryPlan,
 )
 from .result import (
     BudgetExhausted,
@@ -52,12 +50,10 @@ __all__ = [
     "active_query_store",
     "goal_fingerprint",
     "using_query_store",
-    "PlannedQuery",
     "QueryBudget",
     "QueryEngine",
     "QueryEngineOptions",
     "QueryEngineStats",
-    "QueryPlan",
     "SymbolicEngine",
     "SymbolicEngineOptions",
 ]

@@ -4,10 +4,10 @@
 the query-engine refactor it is a thin facade over
 :class:`repro.mc.query.QueryEngine`: every check -- the two queries
 test-data generation needs ("give me test data reaching this block" /
-"drive execution along this exact edge sequence"), whole
-:class:`~repro.mc.query.QueryPlan` batches, and the raw :meth:`check`
-entry point used by the Table 2 benchmark -- is planned, optionally sliced
-and budgeted by the query engine.
+"drive execution along this exact edge sequence"), whole batches
+(:meth:`ModelChecker.check_all`), and the raw :meth:`check` entry point
+used by the Table 2 benchmark -- is optionally sliced and budgeted by the
+query engine.
 
 By default the facade keeps the historical full-model behaviour (no
 slicing, no external budget) so the paper-reproduction benchmarks stay
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from ..transsys.translate import TranslationResult, edge_label
 from .explicit import ExplicitEngineOptions
 from .property import GoalBuilder, ReachabilityGoal
-from .query import (
-    EngineKind,
-    QueryBudget,
-    QueryEngine,
-    QueryEngineOptions,
-    QueryPlan,
-)
+from .query import EngineKind, QueryBudget, QueryEngine, QueryEngineOptions
 from .result import CheckResult, Verdict
 from .symbolic import SymbolicEngineOptions
 
@@ -37,9 +31,6 @@ class ModelCheckerOptions:
     engine: EngineKind = EngineKind.AUTO
     symbolic: SymbolicEngineOptions | None = None
     explicit: ExplicitEngineOptions | None = None
-    #: explicit enumeration is attempted when the free state space has at most
-    #: this many bits (AUTO mode)
-    explicit_bits_threshold: int = 16
     #: query budget (None = no external budget, engine defaults apply)
     budget: QueryBudget | None = None
     #: per-goal cone-of-influence slicing (off by default: the raw facade
@@ -68,7 +59,6 @@ class ModelChecker:
                 slicing=self._options.slicing,
                 symbolic=self._options.symbolic,
                 explicit=self._options.explicit,
-                explicit_bits_threshold=self._options.explicit_bits_threshold,
                 prefilter=self._options.prefilter,
             ),
         )
@@ -84,16 +74,18 @@ class ModelChecker:
 
     @property
     def query_engine(self) -> QueryEngine:
-        """The underlying planner (budget/slice/memo statistics live here)."""
+        """The underlying query engine (budget/slice/store statistics live here)."""
         return self._engine
 
     def check(self, goal: ReachabilityGoal) -> CheckResult:
         """Run the budgeted engine portfolio on *goal*."""
         return self._engine.check(goal)
 
-    def run_plan(self, plan: QueryPlan) -> dict[object, CheckResult]:
-        """Execute a whole query plan (shared prefixes and witnesses reused)."""
-        return self._engine.run_plan(plan)
+    def check_all(
+        self, goals: list[tuple[object, ReachabilityGoal]]
+    ) -> dict[object, CheckResult]:
+        """Answer a batch of ``(key, goal)`` pairs (witnesses reused)."""
+        return self._engine.check_all(goals)
 
     # ------------------------------------------------------------------ #
     # the two queries test-data generation needs

@@ -17,13 +17,35 @@ from itertools import product
 
 from .. import perf
 from ..solver.expression import concrete_eval
-from ..transsys.system import TransitionSystem
+from ..transsys.system import Transition, TransitionSystem
 from .property import ReachabilityGoal
 from .result import CheckResult, CheckStatistics, Counterexample, Verdict
 
 
 class StateSpaceTooLarge(Exception):
     """Raised when explicit enumeration is hopeless for this model."""
+
+
+def concrete_step(
+    system: TransitionSystem, transition: Transition, assignment: dict[str, int]
+) -> dict[str, int] | None:
+    """The post-state of *transition* from *assignment*; None if not enabled.
+
+    The one definition of concrete transition semantics (the search below
+    and the witness replay of :mod:`repro.mc.store` both use it): the guard
+    holds iff :func:`concrete_eval` is non-zero, and the updates are
+    computed simultaneously from the pre-state, each saturated into its
+    variable's domain.  :class:`~repro.solver.expression.EvaluationError`
+    propagates to the caller.
+    """
+    if transition.guard is not None and concrete_eval(transition.guard, assignment) == 0:
+        return None
+    post = dict(assignment)
+    for name, expr in transition.updates:
+        value = concrete_eval(expr, assignment)
+        domain = system.variables[name].domain
+        post[name] = min(max(value, domain.lo), domain.hi)
+    return post
 
 
 @dataclass
@@ -125,14 +147,9 @@ class ExplicitStateEngine:
                 continue
             assignment = dict(zip(self._variable_names, values))
             for transition in outgoing.get(location, ()):
-                if transition.guard is not None:
-                    if concrete_eval(transition.guard, assignment) == 0:
-                        continue
-                new_assignment = dict(assignment)
-                for name, expr in transition.updates:
-                    value = concrete_eval(expr, assignment)
-                    domain = self._system.variables[name].domain
-                    new_assignment[name] = min(max(value, domain.lo), domain.hi)
+                new_assignment = concrete_step(self._system, transition, assignment)
+                if new_assignment is None:
+                    continue
                 new_values = self._intern(
                     tuple(new_assignment[name] for name in self._variable_names)
                 )

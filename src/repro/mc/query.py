@@ -1,26 +1,25 @@
-"""Planned, budgeted, sliced reachability queries -- the unified query engine.
+"""Batched, budgeted, sliced reachability queries -- the unified query engine.
 
 Every model-checking question the WCET tool chain asks ("reach this block",
 "follow this edge sequence") goes through one subsystem:
 
-* a :class:`QueryPlan` batches all goals of one function and inserts
-  *feasibility probes* for path prefixes shared by several edge-sequence
-  goals -- an infeasible shared prefix proves every extension infeasible
-  with a single query;
+* :meth:`QueryEngine.check_all` answers all goals of one function in a
+  fixed order (label sequences, then description), so goals sharing a
+  path run back to back and the results do not depend on caller order;
 * a :class:`QueryEngine` runs each goal through a budgeted engine
   portfolio: explicit enumeration when the (sliced) initial state space is
   small, then symbolic search on the goal's cone-of-influence slice
-  (:mod:`repro.mc.slicing`), escalating to the full model only when the
-  slice could not answer;
+  (:mod:`repro.mc.slicing`).  The slice preserves REACHABLE/UNREACHABLE
+  exactly, so the full model is searched only when slicing removed
+  nothing;
 * a :class:`QueryBudget` bounds every query with step / solver-call /
   deadline limits; when the budget runs out the result carries the typed
   :class:`~repro.mc.result.BudgetExhausted` verdict, which the WCET layer
   treats as "unreached, pessimise" instead of hanging on an unbounded
   search;
-* witnesses are memoised per ``(slice fingerprint, goal)`` and replayed
-  against later goals of the batch (a witness that reaches block 40 through
-  block 17 also answers the block-17 query), and proven-infeasible label
-  sequences subsume every extension;
+* completed witnesses are replayed against later goals of the batch (a
+  witness that reaches block 40 through block 17 also answers the
+  block-17 query);
 * when a persistent :class:`~repro.mc.store.QueryStore` is ambient
   (:func:`~repro.mc.store.using_query_store`), settled verdicts and
   witnesses survive the process: they are written through the crash-safe
@@ -29,10 +28,10 @@ Every model-checking question the WCET tool chain asks ("reach this block",
   warm run answers every planned query from disk with zero solver calls.
 
 Progress is surfaced through :mod:`repro.perf`: counters ``mc.query.*``
-(planned / sliced / cache_hits / escalations / budget_exhausted /
-prefix_hits / witness_reuse / store_hits / store_misses / store_writes /
-replay_failures / solver_runs / static_prunes) and timers ``mc.plan`` /
-``mc.slice`` / ``mc.solve``.
+(planned / sliced / escalations / budget_exhausted / engine_faults /
+witness_reuse / store_hits / store_misses / store_writes / replay_failures
+/ solver_runs / static_prunes) and timers ``mc.plan`` / ``mc.slice`` /
+``mc.solve``.
 """
 
 from __future__ import annotations
@@ -70,6 +69,11 @@ class EngineKind(enum.Enum):
     AUTO = "auto"
 
 
+#: AUTO tries explicit enumeration first when the free state space of the
+#: (sliced) model has at most this many bits
+EXPLICIT_BITS_THRESHOLD = 16
+
+
 @dataclass(frozen=True)
 class QueryBudget:
     """Hard limits of one reachability query, across all portfolio stages.
@@ -95,163 +99,6 @@ class QueryBudget:
         return self.deadline_ms / 1000.0 if self.deadline_ms is not None else None
 
 
-@dataclass(frozen=True)
-class PlannedQuery:
-    """One goal of a query plan.
-
-    ``key`` is the caller's handle (the test-data generator uses the path
-    target's key); probes carry synthetic keys and are executed only for
-    their side effects on the shared infeasible-prefix/witness bookkeeping.
-    """
-
-    key: object
-    goal: ReachabilityGoal
-    is_probe: bool = False
-
-
-#: ("fixed" policy) a prefix probe is worth a query when at least this many
-#: goals share it
-PREFIX_PROBE_THRESHOLD = 3
-
-#: probe when the expected subsumption savings beat the probe cost (default)
-PROBE_POLICY_ADAPTIVE = "adaptive"
-#: the historical fixed >= :data:`PREFIX_PROBE_THRESHOLD` sharers rule
-PROBE_POLICY_FIXED = "fixed"
-
-
-class QueryPlan:
-    """All reachability goals of one function, ordered for shared work.
-
-    Edge-sequence goals are clustered lexicographically by their label
-    sequences so goals sharing prefixes run back to back (maximising
-    witness reuse and prefix subsumption), and shared prefixes worth
-    probing get a feasibility probe that runs first: one UNREACHABLE probe
-    answers every goal extending it.  Which prefixes are worth it is the
-    probe policy's call -- ``adaptive`` (default) weighs expected savings
-    against probe cost, ``fixed`` keeps the historical "at least
-    :data:`PREFIX_PROBE_THRESHOLD` sharers" rule.
-    """
-
-    def __init__(self, items: list[PlannedQuery]):
-        self.items = items
-
-    @property
-    def goal_count(self) -> int:
-        return sum(1 for item in self.items if not item.is_probe)
-
-    @property
-    def probe_count(self) -> int:
-        return sum(1 for item in self.items if item.is_probe)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build(
-        cls,
-        goals: list[tuple[object, ReachabilityGoal]],
-        probe_threshold: int = PREFIX_PROBE_THRESHOLD,
-        probe_policy: str = PROBE_POLICY_ADAPTIVE,
-    ) -> "QueryPlan":
-        with obs.span("mc.plan", goals=len(goals)), perf.timed("mc.plan"):
-            ordered_goals = sorted(
-                goals,
-                key=lambda item: (item[1].ordered_labels, item[1].description),
-            )
-            sequences = [
-                goal.ordered_labels
-                for _, goal in ordered_goals
-                if goal.ordered_labels
-                and not goal.target_locations
-                and not goal.target_labels
-            ]
-            if probe_policy == PROBE_POLICY_FIXED:
-                prefixes = cls._shared_prefixes(sequences, probe_threshold)
-            else:
-                prefixes = cls._adaptive_prefixes(sequences)
-            probes = [
-                PlannedQuery(
-                    key=("probe", prefix),
-                    goal=ReachabilityGoal(
-                        ordered_labels=prefix,
-                        description="prefix probe " + " -> ".join(prefix),
-                    ),
-                    is_probe=True,
-                )
-                for prefix in prefixes
-            ]
-            items = probes + [
-                PlannedQuery(key=key, goal=goal) for key, goal in ordered_goals
-            ]
-        return cls(items)
-
-    @staticmethod
-    def _shared_prefixes(
-        sequences: list[tuple[str, ...]], threshold: int
-    ) -> list[tuple[str, ...]]:
-        """Deepest branching prefixes shared by >= *threshold* sequences."""
-        counts: dict[tuple[str, ...], int] = {}
-        continuations: dict[tuple[str, ...], set[str]] = {}
-        for sequence in sequences:
-            for cut in range(1, len(sequence)):
-                prefix = sequence[:cut]
-                counts[prefix] = counts.get(prefix, 0) + 1
-                continuations.setdefault(prefix, set()).add(sequence[cut])
-        candidates = {
-            prefix
-            for prefix, count in counts.items()
-            if count >= threshold and len(continuations[prefix]) >= 2
-        }
-        return QueryPlan._deepest(candidates)
-
-    @staticmethod
-    def _adaptive_prefixes(
-        sequences: list[tuple[str, ...]],
-    ) -> list[tuple[str, ...]]:
-        """Branching prefixes whose probe is expected to pay for itself.
-
-        A probe costs roughly one search over the prefix (``len(prefix)``
-        path steps).  If it proves the prefix infeasible it saves every
-        sharer's full search: ``count * len(prefix)`` shared steps plus the
-        sharers' extension steps beyond the prefix.  Probing is worth it
-        when the potential saving is a healthy multiple of the cost --
-        ``count*len(p) + extension_steps >= 4*len(p)`` -- so *two* goals
-        sharing a deep prefix with long tails get a probe the fixed >= 3
-        rule would skip, while several goals sharing a long prefix with
-        tiny tails (the probe costs nearly as much as just answering them)
-        do not.
-        """
-        counts: dict[tuple[str, ...], int] = {}
-        continuations: dict[tuple[str, ...], set[str]] = {}
-        extension_steps: dict[tuple[str, ...], int] = {}
-        for sequence in sequences:
-            for cut in range(1, len(sequence)):
-                prefix = sequence[:cut]
-                counts[prefix] = counts.get(prefix, 0) + 1
-                continuations.setdefault(prefix, set()).add(sequence[cut])
-                extension_steps[prefix] = extension_steps.get(prefix, 0) + (
-                    len(sequence) - cut
-                )
-        candidates = {
-            prefix
-            for prefix, count in counts.items()
-            if count >= 2
-            and len(continuations[prefix]) >= 2
-            and count * len(prefix) + extension_steps[prefix] >= 4 * len(prefix)
-        }
-        return QueryPlan._deepest(candidates)
-
-    @staticmethod
-    def _deepest(candidates: set[tuple[str, ...]]) -> list[tuple[str, ...]]:
-        """Drop candidates that another candidate extends (probe deepest)."""
-        return sorted(
-            prefix
-            for prefix in candidates
-            if not any(
-                other != prefix and other[: len(prefix)] == prefix
-                for other in candidates
-            )
-        )
-
-
 @dataclass
 class QueryEngineOptions:
     """Configuration of the query engine (budget + portfolio + slicing)."""
@@ -262,9 +109,6 @@ class QueryEngineOptions:
     slicing: bool = True
     symbolic: SymbolicEngineOptions | None = None
     explicit: ExplicitEngineOptions | None = None
-    #: explicit enumeration is attempted when the free state space of the
-    #: (sliced) model has at most this many bits
-    explicit_bits_threshold: int = 16
     #: optional sound static prefilter (duck-typed, see
     #: :class:`repro.sa.feasibility.StaticPrefilter`): anything exposing
     #: ``goal_is_unreachable(goal, location_block) -> bool`` whose True
@@ -278,10 +122,9 @@ class QueryEngineStats:
 
     planned: int = 0
     sliced: int = 0
-    cache_hits: int = 0
+    #: explicit stages that could not answer and fell through to symbolic
     escalations: int = 0
     budget_exhausted: int = 0
-    prefix_hits: int = 0
     witness_reuse: int = 0
     #: queries degraded to ENGINE_FAULT because every stage's solver died
     #: on an injected fault
@@ -321,10 +164,6 @@ class QueryEngine:
         self._forward: frozenset[int] | None = None
         #: goal-seed -> GoalSlice (many goals share one slice)
         self._slices: dict[object, GoalSlice | None] = {}
-        #: (slice fingerprint, goal) -> memoised result
-        self._memo: dict[tuple[str, ReachabilityGoal], CheckResult] = {}
-        #: label sequences proven infeasible (subsume every extension)
-        self._infeasible_prefixes: list[tuple[str, ...]] = []
         #: completed witnesses, replayed against later goals of a batch
         self._witnesses: list[Counterexample] = []
 
@@ -333,14 +172,22 @@ class QueryEngine:
     def translation(self) -> TranslationResult:
         return self._translation
 
-    def run_plan(self, plan: QueryPlan) -> dict[object, CheckResult]:
-        """Execute every goal of *plan*; probes feed the shared bookkeeping."""
-        results: dict[object, CheckResult] = {}
-        for item in plan.items:
-            result = self.check(item.goal)
-            if not item.is_probe:
-                results[item.key] = result
-        return results
+    def check_all(
+        self, goals: list[tuple[object, ReachabilityGoal]]
+    ) -> dict[object, CheckResult]:
+        """Answer every ``(key, goal)`` pair; results are keyed by *key*.
+
+        Goals run sorted by label sequence, then description: goals
+        sharing a path prefix run back to back (so one witness can answer
+        its siblings), and witness reuse -- hence every returned vector --
+        does not depend on the caller's order.
+        """
+        with obs.span("mc.plan", goals=len(goals)), perf.timed("mc.plan"):
+            ordered = sorted(
+                goals,
+                key=lambda item: (item[1].ordered_labels, item[1].description),
+            )
+        return {key: self.check(goal) for key, goal in ordered}
 
     def check(self, goal: ReachabilityGoal) -> CheckResult:
         """Answer one reachability goal within the configured budget."""
@@ -349,9 +196,9 @@ class QueryEngine:
 
         # 0. sound static prefilter: goals the interval analysis proved
         #    unreachable are settled before slicing or any engine work.
-        #    Deliberately neither memoised nor persisted -- the proof is
-        #    free to recompute, and warm-run store gates (store_hits ==
-        #    planned) keep counting only solver-shaped queries.
+        #    Deliberately not persisted -- the proof is free to recompute,
+        #    and warm-run store gates (store_hits == planned) keep counting
+        #    only solver-shaped queries.
         prefilter = self._options.prefilter
         if prefilter is not None and prefilter.goal_is_unreachable(
             goal, self._translation.location_block
@@ -364,27 +211,13 @@ class QueryEngine:
                 goal_description=goal.description,
             )
 
-        # 1. per-(slice content, goal) memo -- in-process; unlike the
-        #    persistent store it also remembers UNKNOWN/BUDGET_EXHAUSTED
+        # 1. the persistent store: replay-validated verdicts from earlier
+        #    runs (and from other functions sharing this cone).  Checked
+        #    before witness reuse so a warm run answers *every* goal from
+        #    disk (store_hits == planned), which is what the
+        #    zero-solver-calls gate measures.
         goal_slice = self._slice_for(goal)
         fingerprint = self._content_fingerprint(goal_slice)
-        memo_key = (fingerprint, goal)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            perf.add("mc.query.cache_hits")
-            # a fresh result shell charging (near) zero time: the hit did not
-            # re-run the search, and handing out the memoised statistics
-            # object would double-bill the original query's cost per sibling
-            return replace(
-                cached, statistics=replace(cached.statistics, time_seconds=0.0)
-            )
-
-        # 2. the persistent store: replay-validated verdicts from earlier
-        #    runs (and from other functions sharing this cone).  Checked
-        #    before prefix subsumption and witness reuse so a warm run
-        #    answers *every* first-seen goal from disk (store_hits ==
-        #    planned), which is what the zero-solver-calls gate measures.
         store = active_query_store()
         replay_system = self._replay_system(goal_slice)
         if store is not None:
@@ -396,50 +229,25 @@ class QueryEngine:
             if loaded is not None:
                 self.stats.store_hits += 1
                 result = self._from_store(goal, goal_slice, *loaded)
-                self._note_outcome(goal, result)
-                self._memo[memo_key] = result
+                self._note_witness(result)
                 return result
             self.stats.store_misses += 1
 
-        # 3. a proven-infeasible prefix subsumes every extension
-        if (
-            goal.ordered_labels
-            and not goal.target_locations
-            and not goal.target_labels
-        ):
-            for prefix in self._infeasible_prefixes:
-                if goal.ordered_labels[: len(prefix)] == prefix:
-                    self.stats.prefix_hits += 1
-                    perf.add("mc.query.prefix_hits")
-                    result = CheckResult(
-                        verdict=Verdict.UNREACHABLE,
-                        statistics=self._empty_statistics(),
-                        goal_description=goal.description,
-                    )
-                    # subsumption derives from a proof over this system, so
-                    # the verdict is as persistable as the proof itself
-                    self._persist(store, fingerprint, goal, replay_system, result)
-                    return result
-
-        # 4. an earlier witness may already answer this goal
+        # 2. an earlier witness may already answer this goal
         reused = self._covered_by_known_witness(goal)
         if reused is not None:
             self.stats.witness_reuse += 1
             perf.add("mc.query.witness_reuse")
-            self._memo[memo_key] = reused
             self._persist(store, fingerprint, goal, replay_system, reused)
             return reused
 
-        # 5. the budgeted engine portfolio
+        # 3. the budgeted engine portfolio
         result = self._run_portfolio(goal, goal_slice)
-
-        # 6. bookkeeping for the rest of the batch (and later runs)
-        self._note_outcome(goal, result)
+        self._note_witness(result)
         if result.verdict is not Verdict.ENGINE_FAULT:
-            # a faulted query is a property of this run's fault plan, not of
-            # the goal: memoising it would let one injected crash answer
-            # later sibling goals with a degraded verdict
-            self._memo[memo_key] = result
+            # a faulted query is a property of this run's fault plan, not
+            # of the goal: persisting it would let one injected crash
+            # answer later runs with a degraded verdict
             self._persist(store, fingerprint, goal, replay_system, result)
         return result
 
@@ -447,7 +255,7 @@ class QueryEngine:
     # persistent store plumbing
     # ------------------------------------------------------------------ #
     def _content_fingerprint(self, goal_slice: GoalSlice | None) -> str:
-        """The store/memo key component: content hash of the search model.
+        """The store key component: content hash of the search model.
 
         A slice that removed nothing hashes identically to the full system,
         so "no slicing" and "improper slice" share entries by construction.
@@ -464,18 +272,14 @@ class QueryEngine:
             return goal_slice.translation.system
         return self._translation.system
 
-    def _note_outcome(self, goal: ReachabilityGoal, result: CheckResult) -> None:
-        """Feed a settled result into the batch-shared bookkeeping."""
+    def _note_witness(self, result: CheckResult) -> None:
+        """Keep a completed witness for the later goals of the batch."""
         if (
-            result.verdict is Verdict.UNREACHABLE
-            and goal.ordered_labels
-            and not goal.target_locations
-            and not goal.target_labels
+            result.verdict is Verdict.REACHABLE
+            and result.counterexample is not None
+            and result.counterexample.trace
         ):
-            self._infeasible_prefixes.append(tuple(goal.ordered_labels))
-        if result.verdict is Verdict.REACHABLE and result.counterexample is not None:
-            if result.counterexample.trace:
-                self._witnesses.append(result.counterexample)
+            self._witnesses.append(result.counterexample)
 
     def _persist(
         self,
@@ -506,7 +310,7 @@ class QueryEngine:
         valid here (an integer, in domain, matching a fixed initial), and
         re-completed exactly like :meth:`_complete_counterexample` would
         otherwise -- so a same-function warm hit is bit-identical to the
-        cold result it memoises, while a cross-function hit gets sound
+        cold result it was stored from, while a cross-function hit gets sound
         deterministic values for the variables the producer never had.
         """
         stats = self._empty_statistics()
@@ -604,25 +408,24 @@ class QueryEngine:
     def _stages(
         self, goal_slice: GoalSlice | None
     ) -> list[tuple[str, TranslationResult]]:
-        """(label, model) stages in escalation order for this goal."""
-        sliced = (
-            goal_slice.translation
-            if goal_slice is not None and goal_slice.is_proper
-            else None
-        )
-        base = sliced if sliced is not None else self._translation
+        """(label, model) stages in escalation order for this goal.
+
+        Both stages search the same model: the proper slice when there is
+        one (it decides exactly what the full model decides), else the
+        full model.
+        """
+        proper = goal_slice is not None and goal_slice.is_proper
+        model = goal_slice.translation if proper else self._translation
         kind = self._options.engine
-        stages: list[tuple[str, TranslationResult]] = []
         if kind is EngineKind.EXPLICIT:
-            return [("explicit", base)]
-        if kind is EngineKind.AUTO:
-            bits = base.system.initial_state_bits()
-            if bits <= self._options.explicit_bits_threshold:
-                stages.append(("explicit", base))
-        label = "symbolic:sliced" if sliced is not None else "symbolic:full"
-        stages.append((label, base))
-        if sliced is not None:
-            stages.append(("symbolic:full", self._translation))
+            return [("explicit", model)]
+        stages: list[tuple[str, TranslationResult]] = []
+        if (
+            kind is EngineKind.AUTO
+            and model.system.initial_state_bits() <= EXPLICIT_BITS_THRESHOLD
+        ):
+            stages.append(("explicit", model))
+        stages.append(("symbolic:sliced" if proper else "symbolic:full", model))
         return stages
 
     def _run_portfolio(
@@ -659,8 +462,8 @@ class QueryEngine:
             try:
                 with obs.span("mc.solve", engine=label), perf.timed("mc.solve"):
                     maybe_fault("mc.solve", goal.description)
-                    # the warm-run gate: a run answered entirely from memo,
-                    # subsumption and the store executes zero engine stages
+                    # the warm-run gate: a run answered entirely from the
+                    # store executes zero engine stages
                     self.stats.solver_runs += 1
                     perf.add("mc.query.solver_runs")
                     result = engine.check(goal)

@@ -103,7 +103,7 @@ class CheckStatistics:
     #: "solver_calls", "depth", "states"); None for complete searches
     stop_reason: str | None = None
     #: engine stages the query went through ("explicit", "symbolic:sliced",
-    #: "symbolic:full"); filled by the query planner
+    #: "symbolic:full"); filled by the query engine
     engines_tried: tuple[str, ...] = ()
 
     @property

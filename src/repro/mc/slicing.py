@@ -86,7 +86,7 @@ class GoalSlice:
 
     #: sliced translation (shares the base result's CFG provenance maps)
     translation: TranslationResult
-    #: stable identity of the slice -- memo key component for witness reuse
+    #: stable identity of the slice -- the query store's key component
     fingerprint: str
     kept_variables: frozenset[str]
     dropped_variables: frozenset[str]

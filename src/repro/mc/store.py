@@ -1,10 +1,10 @@
 """Persistent per-``(slice fingerprint, goal)`` verdict store.
 
-The PR 4 query memo dies with its process: every ``project`` run and every
-service job re-solves reachability queries whose sliced transition systems
-have not changed.  This module persists verdicts *and witnesses* through
-the crash-safe :class:`~repro.project.cache.ResultCache` (query namespace,
-see :meth:`ResultCache.get_query`) keyed by the *content* fingerprint of
+Without it every ``project`` run and every service job re-solves
+reachability queries whose sliced transition systems have not changed.
+This module persists verdicts *and witnesses* through the crash-safe
+:class:`~repro.project.cache.ResultCache` (query namespace, see
+:meth:`ResultCache.get_query`) keyed by the *content* fingerprint of
 the sliced system (:func:`repro.mc.slicing.system_fingerprint`) and a
 content fingerprint of the goal -- both independent of function names and
 source locations, so hits survive edits outside the cone and transfer
@@ -15,8 +15,7 @@ Trust model: **nothing loaded from disk is believed without evidence.**
 * REACHABLE entries carry the witness (initial state + trace step
   signatures); on load the witness is *replayed* against the current
   sliced system with the explicit engine's concrete semantics
-  (simultaneous updates, domain clamping, guard via
-  :func:`~repro.solver.expression.concrete_eval`).  The verdict served is
+  (:func:`~repro.mc.explicit.concrete_step`).  The verdict served is
   the replay's outcome, so a poisoned or stale entry can fail (a counted,
   flight-recorded miss) but can never change a verdict.
 * UNREACHABLE entries are proofs over the sliced system; they carry a
@@ -42,7 +41,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .. import perf
-from ..solver.expression import EvaluationError, concrete_eval
+from ..solver.expression import EvaluationError
+from .explicit import concrete_step
 from .property import ReachabilityGoal
 from .result import Counterexample, Verdict
 
@@ -118,12 +118,11 @@ def replay_witness(
 ) -> Counterexample | None:
     """Re-execute a stored witness on *system*; ``None`` on any mismatch.
 
-    Mirrors the explicit engine's concrete semantics exactly: guards are
-    true iff :func:`concrete_eval` is non-zero, updates are computed
-    simultaneously from the pre-state and clamped into their domains.  A
-    successful replay is a genuine execution of the *current* system, so
-    the REACHABLE verdict it supports is sound regardless of what the
-    entry claimed.
+    Each step uses the explicit engine's concrete semantics
+    (:func:`~repro.mc.explicit.concrete_step`); a step whose guard or
+    update cannot be evaluated is a miss.  A successful replay is a
+    genuine execution of the *current* system, so the REACHABLE verdict it
+    supports is sound regardless of what the entry claimed.
     """
     if not isinstance(payload, dict):
         return None
@@ -175,25 +174,15 @@ def replay_witness(
         candidates = by_signature.get((source, target, tuple(labels)), ())
         taken = None
         for transition in candidates:
-            if transition.guard is not None:
-                try:
-                    if concrete_eval(transition.guard, assignment) == 0:
-                        continue
-                except EvaluationError:
-                    continue
-            taken = transition
-            break
+            try:
+                post = concrete_step(system, transition, assignment)
+            except EvaluationError:
+                return None
+            if post is not None:
+                taken, assignment = transition, post
+                break
         if taken is None:
             return None
-        new_assignment = dict(assignment)
-        try:
-            for name, expr in taken.updates:
-                value = concrete_eval(expr, assignment)
-                domain = system.variables[name].domain
-                new_assignment[name] = min(max(value, domain.lo), domain.hi)
-        except EvaluationError:
-            return None
-        assignment = new_assignment
         location = taken.target
         progress = goal.progress_after(taken, progress)
         trace.append(taken)

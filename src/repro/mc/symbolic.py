@@ -50,7 +50,7 @@ class SymbolicEngineOptions:
     #: per-query node budget of the constraint solver
     solver_max_nodes: int = 100_000
     #: total solver invocations allowed for this check (None = unlimited);
-    #: the query planner maps a :class:`~repro.mc.query.QueryBudget`'s
+    #: the query engine maps a :class:`~repro.mc.query.QueryBudget`'s
     #: solver-call limit onto this knob
     max_solver_calls: int | None = None
     #: skip solver calls for guards while exploring and only solve at the goal

@@ -117,7 +117,7 @@ class TestSuite:
     budget_exhausted_queries: int = 0
     #: queries where every engine stage died on an (injected) solver fault
     engine_fault_queries: int = 0
-    #: query-engine counters (planned/sliced/cache_hits/escalations/...)
+    #: query-engine counters (planned/sliced/witness_reuse/solver_runs/...)
     mc_diagnostics: dict[str, int] = field(default_factory=dict)
     #: injected faults that cut a generation phase short (degradation
     #: diagnostics; the analyzer pessimises the bound when any occurred)
@@ -290,8 +290,8 @@ class HybridTestDataGenerator:
         generator = ModelCheckingTestDataGenerator(
             self._analyzed, self._function, self._options.model_checking
         )
-        # one query plan for every remaining target: shared path prefixes are
-        # probed once and witnesses found for one target answer its siblings
+        # one batch for every remaining target: witnesses found for one
+        # target answer its siblings
         outcomes = generator.generate_for_targets(targets)
         suite.model_checking_queries = generator.statistics.queries
         suite.budget_exhausted_queries = generator.statistics.budget_exhausted

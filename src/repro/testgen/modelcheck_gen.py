@@ -8,12 +8,11 @@
 Since the query-engine refactor the generator builds **one** optimised
 model per function (protecting the control-relevant variables computed by
 :mod:`repro.analysis.relevance`, which is what the old per-target
-"protected variables" re-translation guaranteed) and batches every path
-target into a single :class:`~repro.mc.query.QueryPlan`: shared path
-prefixes are probed once, witnesses found for one target answer sibling
-targets, and every query runs under the configured
-:class:`~repro.mc.query.QueryBudget` with cone-of-influence slicing.  A
-target whose budget runs out is reported as
+"protected variables" re-translation guaranteed) and answers every path
+target in one batch (:meth:`~repro.mc.query.QueryEngine.check_all`):
+witnesses found for one target answer sibling targets, and every query
+runs under the configured :class:`~repro.mc.query.QueryBudget` with
+cone-of-influence slicing.  A target whose budget runs out is reported as
 :attr:`TargetStatus.BUDGET_EXHAUSTED` -- the WCET layer keeps its
 pessimistic charge instead of hanging.
 """
@@ -27,7 +26,7 @@ from ..analysis.relevance import control_relevant_variables
 from ..cfg.builder import build_cfg
 from ..minic.semantic import AnalyzedProgram
 from ..mc.checker import ModelChecker, ModelCheckerOptions
-from ..mc.query import PROBE_POLICY_ADAPTIVE, EngineKind, QueryBudget, QueryPlan
+from ..mc.query import QueryBudget
 from ..mc.result import CheckResult, CheckStatistics, Verdict
 from ..optim.pipeline import OptimizationConfig, build_optimized_model
 from .targets import PathTarget
@@ -73,15 +72,10 @@ class ModelCheckGeneratorOptions:
     optimizations: OptimizationConfig = field(
         default_factory=OptimizationConfig.cfg_preserving
     )
-    engine: EngineKind = EngineKind.AUTO
-    checker: ModelCheckerOptions | None = None
     #: step/solver-call/deadline limits of every reachability query
     budget: QueryBudget = field(default_factory=QueryBudget)
     #: per-goal cone-of-influence slicing (``--no-slicing`` disables it)
     slicing: bool = True
-    #: prefix-probe policy of the query plan: "adaptive" (payoff heuristic)
-    #: or "fixed" (the historical >= 3-sharers threshold)
-    probe_policy: str = PROBE_POLICY_ADAPTIVE
     #: optional sound static prefilter handed down to the query engine
     #: (see :class:`repro.sa.feasibility.StaticPrefilter`)
     prefilter: object | None = None
@@ -108,28 +102,24 @@ class ModelCheckingTestDataGenerator:
         return self.generate_for_targets([target])[0]
 
     def generate_for_targets(self, targets: list[PathTarget]) -> list[ModelCheckOutcome]:
-        """Answer all *targets* through one shared query plan.
+        """Answer all *targets* in one batch on the shared query engine.
 
-        Batching is what enables the cross-target optimisations: prefix
-        probes, witness reuse and the per-(slice, goal) memo all live on the
-        query engine shared by the batch (and by later batches -- the
-        checker persists across calls).
+        Batching is what lets a witness found for one target answer its
+        siblings; the engine (and its witnesses) persists across batches.
         """
         if not targets:
             return []
         checker = self._checker_instance()
-        plan = QueryPlan.build(
+        results = checker.check_all(
             [
                 (target.key, checker.goal_for_edge_sequence(list(target.edges)))
                 for target in targets
-            ],
-            probe_policy=self._options.probe_policy,
+            ]
         )
-        results = checker.run_plan(plan)
         return [self._outcome(target, results[target.key]) for target in targets]
 
     def query_diagnostics(self) -> dict[str, int]:
-        """Planner counters (planned/sliced/cache_hits/escalations/...)."""
+        """Query-engine counters (planned/sliced/witness_reuse/...)."""
         if self._checker is None:
             return {}
         return self._checker.query_engine.stats.as_dict()
@@ -154,22 +144,14 @@ class ModelCheckingTestDataGenerator:
             self._options.optimizations,
             keep_variables=protected,
         )
-        checker_options = self._options.checker or ModelCheckerOptions(
-            engine=self._options.engine,
-            budget=self._options.budget,
-            slicing=self._options.slicing,
-            prefilter=self._options.prefilter,
+        self._checker = ModelChecker(
+            model.translation,
+            ModelCheckerOptions(
+                budget=self._options.budget,
+                slicing=self._options.slicing,
+                prefilter=self._options.prefilter,
+            ),
         )
-        if (
-            checker_options.prefilter is None
-            and self._options.prefilter is not None
-        ):
-            from dataclasses import replace as dc_replace
-
-            checker_options = dc_replace(
-                checker_options, prefilter=self._options.prefilter
-            )
-        self._checker = ModelChecker(model.translation, checker_options)
         return self._checker
 
     def _outcome(self, target: PathTarget, result: CheckResult) -> ModelCheckOutcome:

@@ -23,7 +23,6 @@ from repro.mc import (
     QueryBudget,
     QueryEngine,
     QueryEngineOptions,
-    QueryPlan,
     ReachabilityGoal,
     Verdict,
     slice_for_goal,
@@ -186,10 +185,9 @@ class TestSlicedUnslicedAgree:
             sliced_result = sliced.check(goal)
             unsliced_result = unsliced.check(goal)
             definitive = (Verdict.REACHABLE, Verdict.UNREACHABLE)
-            if (
-                sliced_result.verdict in definitive
-                and unsliced_result.verdict in definitive
-            ):
+            if unsliced_result.verdict in definitive:
+                # the slice decides whatever the full model decides, which
+                # is why no full-model stage follows the sliced search
                 assert sliced_result.verdict == unsliced_result.verdict, (
                     f"block {block.block_id}: sliced says "
                     f"{sliced_result.verdict}, unsliced says "
@@ -335,14 +333,14 @@ class TestEscalation:
         assert "symbolic:sliced" in result.statistics.engines_tried
         assert engine.stats.escalations >= 1
 
-    def test_escalation_order_is_explicit_then_sliced_then_full(self):
+    def test_escalation_order_is_explicit_then_sliced(self):
         _, translation = translate(GUARDED)
         engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
         builder = GoalBuilder(block_location=translation.block_location)
         goal = builder.reach_block(block_calling(translation, "target_hit"))
         goal_slice = engine._slice_for(goal)
         stages = [label for label, _ in engine._stages(goal_slice)]
-        assert stages == ["explicit", "symbolic:sliced", "symbolic:full"]
+        assert stages == ["explicit", "symbolic:sliced"]
 
     def test_forced_explicit_does_not_escalate(self):
         _, translation = translate(GUARDED)
@@ -359,32 +357,9 @@ class TestEscalation:
 
 
 # ---------------------------------------------------------------------- #
-# shared work: memo, prefix subsumption, witness reuse, probes
+# shared work: witness reuse
 # ---------------------------------------------------------------------- #
 class TestSharedWork:
-    def test_identical_goal_is_memoised(self):
-        _, translation = translate(GUARDED)
-        engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
-        builder = GoalBuilder(block_location=translation.block_location)
-        goal = builder.reach_block(block_calling(translation, "target_hit"))
-        first = engine.check(goal)
-        second = engine.check(goal)
-        assert engine.stats.cache_hits == 1
-        assert second.verdict is first.verdict
-
-    def test_infeasible_prefix_subsumes_extensions(self, figure1):
-        translation = translate_function(figure1, "main")
-        checker = ModelChecker(translation, ModelCheckerOptions(slicing=True))
-        # outer if false (i != 0) then second if true (i == 0): contradictory
-        assert checker.is_path_infeasible([(4, 9, "false"), (9, 10, "true")])
-        engine = checker.query_engine
-        before = engine.stats.prefix_hits
-        # any extension of the infeasible prefix is answered without a search
-        assert checker.is_path_infeasible(
-            [(4, 9, "false"), (9, 10, "true"), (10, 11, "fallthrough")]
-        )
-        assert engine.stats.prefix_hits == before + 1
-
     def test_witness_reuse_across_block_goals(self):
         _, translation = translate(GUARDED)
         engine = QueryEngine(translation, QueryEngineOptions(slicing=True))
@@ -403,30 +378,6 @@ class TestSharedWork:
         assert witness_blocks
         engine.check(builder.reach_block(sorted(witness_blocks)[0]))
         assert engine.stats.witness_reuse == 1
-
-    def test_plan_inserts_probes_for_shared_prefixes(self):
-        shared = ("edge:1->2:true", "edge:2->3:true")
-        goals = [
-            (index, ReachabilityGoal(ordered_labels=shared + (tail,)))
-            for index, tail in enumerate(
-                ("edge:3->4:true", "edge:3->5:false", "edge:3->6:none")
-            )
-        ]
-        plan = QueryPlan.build(goals)
-        assert plan.goal_count == 3
-        assert plan.probe_count == 1
-        probe = next(item for item in plan.items if item.is_probe)
-        assert probe.goal.ordered_labels == shared
-        # probes run before the goals they can subsume
-        assert plan.items[0].is_probe
-
-    def test_plan_without_shared_prefixes_has_no_probes(self):
-        goals = [
-            (0, ReachabilityGoal(ordered_labels=("edge:1->2:true",))),
-            (1, ReachabilityGoal(ordered_labels=("edge:1->3:false",))),
-        ]
-        plan = QueryPlan.build(goals)
-        assert plan.probe_count == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -20,13 +20,11 @@ from repro.mc import (
     QueryBudget,
     QueryEngine,
     QueryEngineOptions,
-    QueryPlan,
     QueryStore,
     ReachabilityGoal,
     Verdict,
     using_query_store,
 )
-from repro.mc.query import PROBE_POLICY_ADAPTIVE, PROBE_POLICY_FIXED
 from repro.mc.store import pack_entry, structural_error
 from repro.minic import parse_and_analyze
 from repro.pipeline.analyzer import AnalyzerConfig
@@ -308,52 +306,6 @@ class TestVerifySweep:
         assert any("query entry invalid" in note for note in report["entries"])
         assert not path.exists()
         assert list((tmp_path / "q" / "corrupt").glob("*.json"))
-
-
-# ---------------------------------------------------------------------- #
-# adaptive prefix-probe policy
-# ---------------------------------------------------------------------- #
-def _label_goals(sequences):
-    return [
-        (index, ReachabilityGoal(ordered_labels=sequence, description=str(index)))
-        for index, sequence in enumerate(sequences)
-    ]
-
-
-class TestAdaptiveProbePolicy:
-    def test_two_sharers_with_long_tails_get_a_probe(self):
-        # count*len + extensions = 2*3 + 6 = 12 >= 4*3: worth probing even
-        # though the fixed >= 3-sharers rule would skip it
-        sequences = [
-            ("a", "b", "c", "x1", "x2", "x3"),
-            ("a", "b", "c", "y1", "y2", "y3"),
-        ]
-        adaptive = QueryPlan.build(_label_goals(sequences))
-        assert adaptive.probe_count == 1
-        assert adaptive.items[0].goal.ordered_labels == ("a", "b", "c")
-        fixed = QueryPlan.build(
-            _label_goals(sequences), probe_policy=PROBE_POLICY_FIXED
-        )
-        assert fixed.probe_count == 0
-
-    def test_short_tails_do_not_pay_for_a_probe(self):
-        # 3*4 + 3 = 15 < 4*4: the probe costs nearly as much as just
-        # answering the goals, so the adaptive policy declines where the
-        # fixed threshold would still fire
-        sequences = [
-            ("a", "b", "c", "d", "x"),
-            ("a", "b", "c", "d", "y"),
-            ("a", "b", "c", "d", "z"),
-        ]
-        adaptive = QueryPlan.build(_label_goals(sequences))
-        assert adaptive.probe_count == 0
-        fixed = QueryPlan.build(
-            _label_goals(sequences), probe_policy=PROBE_POLICY_FIXED
-        )
-        assert fixed.probe_count == 1
-
-    def test_policy_constants_are_distinct(self):
-        assert PROBE_POLICY_ADAPTIVE != PROBE_POLICY_FIXED
 
 
 # ---------------------------------------------------------------------- #
