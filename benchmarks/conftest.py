@@ -1,9 +1,11 @@
 """Shared fixtures and result collection for the benchmark suite.
 
 Each benchmark regenerates one table or figure of the paper.  Besides the
-pytest-benchmark timings, every benchmark deposits the reproduced numbers into
-``benchmarks/results/`` as plain-text files so EXPERIMENTS.md can reference
-them directly.
+pytest-benchmark timings, every benchmark writes the reproduced numbers as a
+plain-text file into a temporary ``results`` directory, so a test run never
+rewrites the committed tables in ``benchmarks/results/``.  To refresh those,
+run ``pytest benchmarks --basetemp DIR`` and copy the files from
+``DIR/results0/`` by hand.
 """
 
 from __future__ import annotations
@@ -17,13 +19,9 @@ from repro.workloads.optimisation_eval import optimisation_eval_program
 from repro.workloads.targetlink import generate_synthetic_application
 from repro.workloads.wiper import wiper_case_study
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,9 @@ recomputed per call.  They exist for two reasons:
 
 * **ground truth** -- the property tests cross-check the bitset engine
   against these implementations bit-for-bit on randomized CFGs;
-* **perf trajectory** -- :mod:`repro.perf.bench` times them against the
+* **speed floor** -- ``tests/test_perf_bitset.py`` times them against the
   optimised implementations on the synthetic industrial application and
-  reports the speedup in ``BENCH_perf.json``.
+  gates the speedup.
 
 Nothing in the production pipeline should import this module for analysis
 results; use :mod:`repro.analysis.liveness` / :mod:`repro.analysis.reaching`.
@@ -32,7 +32,7 @@ def solve_reference(problem: DataflowProblem) -> DataflowResult:
     """The original textbook worklist solver (list ``pop(0)``, double init).
 
     Kept byte-for-byte equivalent to the seed implementation so the
-    benchmark's "versus seed" comparison stays honest.
+    "versus seed" speed floor stays honest.
     """
     nodes = list(problem.nodes)
     if problem.direction is Direction.FORWARD:
@@ -91,7 +91,7 @@ def liveness_problem(cfg: ControlFlowGraph) -> DataflowProblem:
 
     ``predecessors``/``order`` come from the CFG's cached accessors; the
     seed solver (:func:`solve_reference`) never reads those fields, so the
-    benchmark comparison is unaffected, while the engineered solver uses
+    speed-floor comparison is unaffected, while the engineered solver uses
     them to skip map inversion and seed the worklist in flow order.
     """
     use_defs = {block.block_id: block_use_def(block) for block in cfg.blocks()}

@@ -1,7 +1,7 @@
 """Command-line interface of the WCET analysis tool.
 
-The sub-commands cover the paper's workflow and the repo's batch/perf
-tooling:
+The sub-commands cover the paper's workflow and the repo's batch, service
+and tracing tooling:
 
 ``repro-wcet partition FILE --function F --bounds 1,2,3``
     print the instrumentation-point / measurement trade-off table (Table 1
@@ -60,11 +60,6 @@ tooling:
     sweep the persistent result cache, moving corrupt entries into its
     ``corrupt/`` quarantine directory and reporting what was found
     (``--json`` for machine-readable output including live cache stats).
-
-``repro-wcet bench``
-    time the pipeline hot paths (dataflow, partitioning, model checking) on
-    the synthetic applications and write the ``BENCH_perf.json``
-    perf-trajectory report.
 
 ``analyze`` and ``project`` additionally take ``--inject-fault SITE:SPEC``
 (repeatable) and ``--fault-seed`` for deterministic chaos testing;
@@ -497,16 +492,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import format_summary, run_perf_bench
-
-    report = run_perf_bench(
-        seed=args.seed, repeats=args.repeats, output=args.output
-    )
-    print(format_summary(report))
-    return 0 if report["results_match"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-wcet",
@@ -790,18 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the summary as JSON instead of text",
     )
     trace.set_defaults(handler=_cmd_trace)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="time the pipeline hot paths and write BENCH_perf.json",
-    )
-    bench.add_argument("--seed", type=int, default=2005, help="generator seed")
-    bench.add_argument("--repeats", type=int, default=3, help="timing repetitions")
-    bench.add_argument(
-        "--output", default="BENCH_perf.json",
-        help="JSON report path (default: BENCH_perf.json)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 

@@ -1,10 +1,7 @@
-"""Performance instrumentation and benchmarking subsystem.
+"""Performance instrumentation: counters and timers.
 
-:mod:`repro.perf.instrument` provides counters, timers, a ``@profiled``
-decorator and a JSON report writer; :mod:`repro.perf.bench` runs the
-dataflow hot paths on the synthetic industrial application and writes the
-``BENCH_perf.json`` trajectory file (also reachable via
-``python -m repro.cli bench``).
+:mod:`repro.perf.instrument` provides the registry the hot paths record
+into; the service's ``/v1/metrics`` exposition reads it.
 """
 
 from __future__ import annotations
@@ -16,13 +13,11 @@ from .instrument import (
     active_registry,
     add,
     global_registry,
-    profiled,
     record_time,
     report,
     reset,
     timed,
     using_registry,
-    write_report,
 )
 
 __all__ = [
@@ -32,11 +27,9 @@ __all__ = [
     "active_registry",
     "add",
     "global_registry",
-    "profiled",
     "record_time",
     "report",
     "reset",
     "timed",
     "using_registry",
-    "write_report",
 ]

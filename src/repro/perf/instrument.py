@@ -1,4 +1,4 @@
-"""Lightweight performance instrumentation: counters, timers, profiling.
+"""Lightweight performance instrumentation: counters and timers.
 
 The hot paths of the reproduction (the dataflow fixpoint solver, path
 enumeration, the explicit-state engine) record how much work they do into a
@@ -7,10 +7,8 @@ behind a lock -- so that instrumenting a hot loop costs one dict update per
 *call*, not per iteration: callers aggregate locally and record once.
 
 A process-wide default registry is available through the module-level
-helpers (:func:`add`, :func:`record_time`, :func:`timed`, :func:`profiled`,
-:func:`report`, :func:`write_report`, :func:`reset`).  Benchmarks reset it,
-run a workload and serialise the report next to their timing numbers (see
-:mod:`repro.perf.bench`).
+helpers (:func:`add`, :func:`record_time`, :func:`timed`, :func:`report`,
+:func:`reset`).
 
 The *ambient* registry the helpers write to is a
 :class:`contextvars.ContextVar` whose default is the process-wide registry:
@@ -28,15 +26,10 @@ from __future__ import annotations
 
 import bisect
 import contextvars
-import functools
-import json
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
-
-FuncT = TypeVar("FuncT", bound=Callable[..., Any])
+from typing import Any, Iterator
 
 #: schema tag written into every JSON report; /2 added min/max and the
 #: bounded histogram buckets to every timer (old readers that only consume
@@ -142,30 +135,6 @@ class PerfRegistry:
         finally:
             self.record_time(name, time.perf_counter() - started)
 
-    def profiled(self, name: str | None = None) -> Callable[[FuncT], FuncT]:
-        """Decorator recording call count and wall-clock time of a function.
-
-        Usable as ``@registry.profiled()`` or ``@registry.profiled("label")``;
-        the default label is the function's qualified name.
-        """
-
-        def decorate(func: FuncT) -> FuncT:
-            label = name or f"{func.__module__}.{func.__qualname__}"
-
-            @functools.wraps(func)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return func(*args, **kwargs)
-                started = time.perf_counter()
-                try:
-                    return func(*args, **kwargs)
-                finally:
-                    self.record_time(label, time.perf_counter() - started)
-
-            return wrapper  # type: ignore[return-value]
-
-        return decorate
-
     # ------------------------------------------------------------------ #
     # inspection and reporting
     # ------------------------------------------------------------------ #
@@ -193,18 +162,6 @@ class PerfRegistry:
                     for name, stat in sorted(self._timers.items())
                 },
             }
-
-    def write_report(
-        self, path: str | Path, extra: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Serialise :meth:`report` (merged with *extra*) as JSON to *path*."""
-        payload = self.report()
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
-        return payload
 
 
 #: process-wide default registry used by the instrumented hot paths
@@ -253,38 +210,8 @@ def timed(name: str):
     return _ACTIVE_REGISTRY.get().timed(name)
 
 
-def profiled(name: str | None = None) -> Callable[[FuncT], FuncT]:
-    """Decorator profiling a function against the *ambient* registry.
-
-    The registry is resolved per call, not at decoration time, so module
-    import order never pins a profiled function to the global registry.
-    """
-
-    def decorate(func: FuncT) -> FuncT:
-        label = name or f"{func.__module__}.{func.__qualname__}"
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            registry = _ACTIVE_REGISTRY.get()
-            if not registry.enabled:
-                return func(*args, **kwargs)
-            started = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                registry.record_time(label, time.perf_counter() - started)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
-
-
 def report() -> dict[str, Any]:
     return _ACTIVE_REGISTRY.get().report()
-
-
-def write_report(path: str | Path, extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    return _ACTIVE_REGISTRY.get().write_report(path, extra)
 
 
 def reset() -> None:

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.cfg import build_cfg
+from repro.mc import GoalBuilder, QueryBudget, QueryEngine, QueryEngineOptions
 from repro.minic import parse_and_analyze
+from repro.optim.pipeline import OptimizationConfig, build_optimized_model
 from repro.workloads.figure1 import figure1_analyzed
 from repro.workloads.optimisation_eval import (
     EVAL_FUNCTION_NAME,
     optimisation_eval_program,
+)
+from repro.workloads.targetlink import (
+    generate_small_application,
+    generate_synthetic_application,
 )
 from repro.workloads.wiper import WIPER_FUNCTION_NAME, wiper_case_study
 
@@ -115,3 +123,63 @@ def branching_program():
     }
     """
     return parse_and_analyze(source)
+
+
+@dataclass(frozen=True)
+class BlockBatch:
+    """Block-reachability goals spread evenly over one synthetic function."""
+
+    app: object
+    #: the CFG-preserving optimised model the goals are checked on
+    model: object
+    blocks: tuple[int, ...]
+    budget: QueryBudget
+
+    @classmethod
+    def of(cls, app, count: int, budget: QueryBudget) -> "BlockBatch":
+        model = build_optimized_model(
+            app.analyzed, app.function_name, OptimizationConfig.cfg_preserving()
+        )
+        blocks = sorted(
+            block.block_id
+            for block in app.cfg.real_blocks()
+            if block.block_id in model.translation.block_location
+        )
+        picked = blocks[:: max(1, len(blocks) // count)][:count]
+        picked[-1] = blocks[-1]  # always include the deepest block
+        return cls(app, model, tuple(picked), budget)
+
+    def goals(self, model=None) -> list:
+        """The batch's goals, built against *model* (default: its own)."""
+        model = model or self.model
+        builder = GoalBuilder(block_location=model.translation.block_location)
+        return [builder.reach_block(block_id) for block_id in self.blocks]
+
+    def engine(self, **options) -> QueryEngine:
+        """A fresh engine over the batch's model, under the batch's budget."""
+        return QueryEngine(
+            self.model.translation, QueryEngineOptions(budget=self.budget, **options)
+        )
+
+
+@pytest.fixture(scope="session")
+def industrial_app():
+    """The synthetic stand-in for the paper's ~857-block industrial function."""
+    return generate_synthetic_application(seed=2005)
+
+
+@pytest.fixture(scope="session")
+def industrial_deep_batch(industrial_app):
+    """9 deep block goals on the industrial function under a tight budget.
+
+    Unsliced, one such query runs for minutes; sliced and budgeted, the
+    whole batch answers in well under a second.
+    """
+    budget = QueryBudget(max_steps=20_000, max_solver_calls=400, deadline_ms=1_500)
+    return BlockBatch.of(industrial_app, count=9, budget=budget)
+
+
+@pytest.fixture(scope="session")
+def small_app_batch():
+    """24 block goals on the 104-block small synthetic application."""
+    return BlockBatch.of(generate_small_application(), count=24, budget=QueryBudget())

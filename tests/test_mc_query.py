@@ -8,6 +8,8 @@ found with slicing replays identically on the unstubbed interpreter.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cfg.builder import build_cfg
@@ -378,6 +380,54 @@ class TestSharedWork:
         assert witness_blocks
         engine.check(builder.reach_block(sorted(witness_blocks)[0]))
         assert engine.stats.witness_reuse == 1
+
+
+# ---------------------------------------------------------------------- #
+# batches on the synthetic applications
+# ---------------------------------------------------------------------- #
+#: the verdicts a budgeted query may return: answered or explicitly tripped
+BUDGETED_VERDICTS = {Verdict.REACHABLE, Verdict.UNREACHABLE, Verdict.BUDGET_EXHAUSTED}
+
+
+class TestSyntheticBatches:
+    @pytest.mark.perf
+    def test_sliced_small_batch_matches_unsliced_and_is_faster(
+        self, small_app_batch
+    ):
+        def run(slicing: bool) -> tuple[float, list[Verdict]]:
+            engine = small_app_batch.engine(slicing=slicing)
+            started = time.perf_counter()
+            verdicts = [engine.check(goal).verdict for goal in small_app_batch.goals()]
+            return time.perf_counter() - started, verdicts
+
+        # one unsliced run (~20x slower) against the best of three sliced runs
+        unsliced_s, unsliced = run(False)
+        sliced_runs = [run(True) for _ in range(3)]
+        sliced_s = min(seconds for seconds, _ in sliced_runs)
+        assert all(verdicts == unsliced for _, verdicts in sliced_runs)
+        assert sliced_s < unsliced_s, (
+            f"slicing did not speed up the small-app batch "
+            f"({sliced_s:.4f}s vs {unsliced_s:.4f}s)"
+        )
+
+    @pytest.mark.perf
+    def test_budgeted_deep_batch_stays_within_its_deadline(
+        self, industrial_deep_batch
+    ):
+        batch = industrial_deep_batch
+        engine = batch.engine(slicing=True)
+        worst = 0.0
+        for goal in batch.goals():
+            started = time.perf_counter()
+            verdict = engine.check(goal).verdict
+            worst = max(worst, time.perf_counter() - started)
+            assert verdict in BUDGETED_VERDICTS, goal.description
+        assert worst <= 2 * batch.budget.deadline_ms / 1000, (
+            f"a deep query overran its budget deadline: {worst:.3f}s"
+        )
+        # unsliced, the same budget trips instead of running for minutes
+        probe = batch.engine(slicing=False).check(batch.goals()[-1])
+        assert probe.verdict in BUDGETED_VERDICTS
 
 
 # ---------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from repro.project import Project, ProjectScheduler, ResultCache
 from repro.resilience import FaultPlan
 from repro.service import AnalysisServer, ServiceClient
 from repro.testgen import HybridOptions
+from repro.workloads.multi import generate_call_chain_workload
 
 pytestmark = pytest.mark.obs
 
@@ -259,20 +260,28 @@ def test_spans_propagate_across_pool_workers():
 
 
 def test_tracing_on_off_results_are_bit_identical():
-    project = Project.from_sources(PAIR)
-    untraced = ProjectScheduler(project, config=quick_config()).run()
-    tracer = obs.Tracer()
-    with obs.using_tracer(tracer):
-        traced = ProjectScheduler(project, config=quick_config()).run()
-    with obs.using_tracer(obs.Tracer(enabled=False)):
-        disabled = ProjectScheduler(project, config=quick_config()).run()
-    assert payloads(untraced) == payloads(traced)
-    assert payloads(untraced) == payloads(disabled)
-    assert untraced.trace_id is None
-    assert disabled.trace_id is None
-    assert traced.trace_id is not None
-    # the report's only delta is its observability section
-    assert traced.to_dict()["observability"]["trace_spans"] == len(tracer)
+    # the two-function pair, and the 9-function call-chain project whose
+    # trace also holds the waves and the model-checking spans
+    for sources in (PAIR, generate_call_chain_workload(seed=2005).sources):
+        project = Project.from_sources(sources)
+        untraced = ProjectScheduler(project, config=quick_config()).run()
+        tracer = obs.Tracer()
+        with obs.using_tracer(tracer):
+            traced = ProjectScheduler(project, config=quick_config()).run()
+        with obs.using_tracer(obs.Tracer(enabled=False)):
+            disabled = ProjectScheduler(project, config=quick_config()).run()
+        assert payloads(untraced) == payloads(traced)
+        assert payloads(untraced) == payloads(disabled)
+        assert untraced.trace_id is None
+        assert disabled.trace_id is None
+        assert traced.trace_id is not None
+        # the report's only delta is its observability section
+        assert traced.to_dict()["observability"]["trace_spans"] == len(tracer)
+        # and the spans form one connected tree
+        summary = obs.summarize(tracer.events())
+        assert list(summary["traces"]) == [traced.trace_id]
+        assert summary["orphans"] == 0
+        assert summary["by_name"]["project.run"]["spans"] == 1
 
 
 def test_analyzer_and_mc_stages_emit_spans():
@@ -281,8 +290,8 @@ def test_analyzer_and_mc_stages_emit_spans():
         ProjectScheduler(Project.from_sources(TINY), config=quick_config()).run()
     names = {event["name"] for event in tracer.events()}
     # mc.plan/mc.solve only appear when the bound needs model checking,
-    # which the tiny workload does not -- the bench's connected-trace
-    # check covers those on the call-chain workload
+    # which the tiny workload does not -- the call-chain project traced in
+    # test_tracing_on_off_results_are_bit_identical does
     assert {"analyze.partition", "analyze.testgen", "analyze.measure",
             "analyze.schema"} <= names
 

@@ -27,6 +27,7 @@ from repro.mc import (
 )
 from repro.mc.store import pack_entry, structural_error
 from repro.minic import parse_and_analyze
+from repro.optim.pipeline import OptimizationConfig, build_optimized_model
 from repro.pipeline.analyzer import AnalyzerConfig
 from repro.project import Project, ProjectScheduler, ResultCache
 from repro.resilience import FaultPlan
@@ -97,11 +98,11 @@ def all_block_goals(translation) -> list[tuple[object, ReachabilityGoal]]:
     ]
 
 
-def run_with_store(translation, cache_dir, goals):
+def run_with_store(
+    translation, cache_dir, goals, budget=QueryBudget(max_steps=50_000)
+):
     """One engine pass over *goals* against the store in *cache_dir*."""
-    engine = QueryEngine(
-        translation, QueryEngineOptions(budget=QueryBudget(max_steps=50_000))
-    )
+    engine = QueryEngine(translation, QueryEngineOptions(budget=budget))
     store = QueryStore(ResultCache(cache_dir))
     with using_query_store(store):
         results = {key: engine.check(goal) for key, goal in goals}
@@ -140,29 +141,41 @@ def assert_identical_results(cold, warm):
 # warm hits
 # ---------------------------------------------------------------------- #
 class TestWarmHits:
-    def test_warm_engine_answers_everything_from_disk(self, tmp_path):
-        translation = translate(GUARDED)
-        goals = all_block_goals(translation)
+    def test_warm_engine_answers_everything_from_disk(
+        self, tmp_path, industrial_deep_batch
+    ):
+        guarded = translate(GUARDED)
+        deep = industrial_deep_batch
+        batches = {
+            "guarded": (
+                guarded, all_block_goals(guarded), QueryBudget(max_steps=50_000)
+            ),
+            "deep": (
+                deep.model.translation, list(enumerate(deep.goals())), deep.budget
+            ),
+        }
+        for name, (translation, goals, budget) in batches.items():
+            cold_engine, cold_store, cold = run_with_store(
+                translation, tmp_path / name, goals, budget
+            )
+            assert cold_engine.stats.store_hits == 0
+            assert cold_engine.stats.store_writes > 0
+            assert cold_engine.stats.solver_runs > 0
 
-        cold_engine, cold_store, cold = run_with_store(
-            translation, tmp_path / "q", goals
-        )
-        assert cold_engine.stats.store_hits == 0
-        assert cold_engine.stats.store_writes > 0
-        assert cold_engine.stats.solver_runs > 0
+            # a fresh engine AND a fresh store handle: everything the warm
+            # run knows came through the on-disk entries
+            warm_engine, warm_store, warm = run_with_store(
+                translation, tmp_path / name, goals, budget
+            )
+            assert warm_engine.stats.store_hits == warm_engine.stats.planned, name
+            assert warm_engine.stats.solver_runs == 0
+            assert warm_engine.stats.store_misses == 0
+            assert warm_engine.stats.replay_failures == 0
+            assert_identical_results(cold, warm)
 
-        # a fresh engine AND a fresh store handle: everything the warm run
-        # knows came through the on-disk entries
-        warm_engine, warm_store, warm = run_with_store(
-            translation, tmp_path / "q", goals
-        )
-        assert warm_engine.stats.store_hits == warm_engine.stats.planned
-        assert warm_engine.stats.solver_runs == 0
-        assert warm_engine.stats.store_misses == 0
-        assert warm_engine.stats.replay_failures == 0
-        assert_identical_results(cold, warm)
-
-    def test_store_hits_transfer_across_identical_functions(self, tmp_path):
+    def test_store_hits_transfer_across_identical_functions(
+        self, tmp_path, small_app_batch
+    ):
         # the fingerprint hashes system *content*, never the function name:
         # g's queries are answered by the entries f's run persisted
         f_translation = translate(GUARDED)
@@ -173,6 +186,25 @@ class TestWarmHits:
             g_translation, tmp_path / "q", all_block_goals(g_translation)
         )
         assert warm_engine.stats.store_hits == warm_engine.stats.planned
+        assert warm_engine.stats.solver_runs == 0
+
+        # the same on a renamed clone of the small synthetic application
+        batch = small_app_batch
+        name = batch.app.function_name
+        source = batch.app.source.replace(f"void {name}", f"void {name}_clone", 1)
+        clone = build_optimized_model(
+            parse_and_analyze(source),
+            f"{name}_clone",
+            OptimizationConfig.cfg_preserving(),
+        )
+        for model in (batch.model, clone):
+            warm_engine, _, _ = run_with_store(
+                model.translation,
+                tmp_path / "small",
+                list(enumerate(batch.goals(model))),
+                batch.budget,
+            )
+        assert warm_engine.stats.store_hits == warm_engine.stats.planned == 24
         assert warm_engine.stats.solver_runs == 0
 
     def test_disabled_cache_disables_the_store(self, tmp_path):

@@ -39,7 +39,10 @@ from repro.resilience import (
     current,
 )
 from repro.testgen import HybridOptions
-from repro.workloads.multi import generate_multi_function_workload
+from repro.workloads.multi import (
+    generate_call_chain_workload,
+    generate_multi_function_workload,
+)
 
 pytestmark = pytest.mark.chaos
 
@@ -61,6 +64,10 @@ def quick_config(**overrides) -> AnalyzerConfig:
     return AnalyzerConfig(**options)
 
 
+#: the call-chain project runs with static analysis on, as in production
+CHAIN_CONFIG = quick_config(static_analysis=True)
+
+
 @pytest.fixture(scope="module")
 def workload():
     return generate_multi_function_workload(seed=2005, functions=3, units=2)
@@ -77,13 +84,28 @@ def clean_report(project):
     return ProjectScheduler(project, config=quick_config()).run()
 
 
+@pytest.fixture(scope="module")
+def chain_project():
+    """The 9-function call-chain project (run under ``CHAIN_CONFIG``)."""
+    return Project.from_sources(generate_call_chain_workload(seed=2005).sources)
+
+
+@pytest.fixture(scope="module")
+def chain_clean_report(chain_project):
+    return run_with(chain_project, config=CHAIN_CONFIG)
+
+
 def clean_bounds(report) -> dict[tuple[str, str], int]:
     return {(s.unit, s.function): s.wcet_bound_cycles for s in report.functions}
 
 
-def run_with(project, plan=None, **kwargs):
+def payloads(report) -> list[dict]:
+    return [summary.result_payload() for summary in report.functions]
+
+
+def run_with(project, plan=None, config=None, **kwargs):
     return ProjectScheduler(
-        project, config=quick_config(), fault_plan=plan, **kwargs
+        project, config=config or quick_config(), fault_plan=plan, **kwargs
     ).run()
 
 
@@ -303,12 +325,25 @@ class TestCrashSafeCache:
 
 # ---------------------------------------------------------------------- #
 class TestResilientScheduler:
-    def test_clean_run_identical_with_empty_plan(self, project, clean_report):
+    def test_clean_run_identical_with_empty_plan(
+        self, project, clean_report, chain_project, chain_clean_report
+    ):
         report = run_with(project, FaultPlan())
-        assert [s.result_payload() for s in report.functions] == [
-            s.result_payload() for s in clean_report.functions
-        ]
+        assert payloads(report) == payloads(clean_report)
         assert report.to_dict()["resilience"]["fault_plan"] == []
+
+        # the call-chain project, also under a plan armed on the hot paths
+        # at a hit count that never arrives
+        armed = FaultPlan(
+            seed=2005,
+            specs=(
+                FaultSpec.parse("mc.solve:raise@1000000000"),
+                FaultSpec.parse("interp.step:raise@1000000000"),
+            ),
+        )
+        for plan in (FaultPlan(seed=2005), armed):
+            report = run_with(chain_project, plan, config=CHAIN_CONFIG)
+            assert payloads(report) == payloads(chain_clean_report)
 
     def test_job_crash_retries_then_succeeds(self, project, clean_report):
         # job.execute hits count per-job attempts: @1 crashes every job's
@@ -359,7 +394,9 @@ class TestResilientScheduler:
         # a timeout is permanent: no retry was attempted
         assert report.total_retries == 0
 
-    def test_every_site_plan_bound_safety(self, project, clean_report):
+    def test_every_site_plan_bound_safety(
+        self, project, clean_report, chain_project, chain_clean_report
+    ):
         plan = FaultPlan.from_args(
             [
                 "cache.read:raise@1",
@@ -381,6 +418,18 @@ class TestResilientScheduler:
             ]
         payload = report.to_dict()
         assert payload["resilience"]["fault_plan"] == plan.describe()
+
+        # the call-chain project at a 10% job.execute / mc.solve fault rate
+        plan = FaultPlan.from_args(
+            ["job.execute:rate=0.1", "mc.solve:rate=0.1"], seed=2005
+        )
+        report = run_with(chain_project, plan, config=CHAIN_CONFIG)
+        baseline = clean_bounds(chain_clean_report)
+        for summary in report.functions:
+            assert summary.wcet_bound_cycles is not None
+            assert summary.wcet_bound_cycles >= baseline[
+                (summary.unit, summary.function)
+            ]
 
     def test_degraded_results_are_not_cached(self, project, tmp_path: Path):
         plan = FaultPlan.from_args(["mc.solve:rate=1.0"])

@@ -317,40 +317,53 @@ class TestDifferentialSoundness:
         checked = _assert_static_claims_hold(app.analyzed, app.function_name)
         assert checked > 0
 
-    def test_prefilter_verdicts_match_unfiltered_engine(self):
-        # every block goal of the small app, answered with and without the
-        # prefilter: identical verdicts, strictly fewer solver runs
+    def test_prefilter_verdicts_match_unfiltered_engine(
+        self, industrial_deep_batch
+    ):
+        # every block goal of the small app, and the budgeted deep batch of
+        # the industrial function, answered with and without the prefilter:
+        # identical verdicts, strictly fewer solver runs
         app = generate_small_application(seed=7)
         model = build_optimized_model(
             app.analyzed, app.function_name, OptimizationConfig.cfg_preserving()
         )
-        feasibility = analyze_feasibility(
-            app.cfg, app.analyzed.table(app.function_name)
-        )
-        prefilter = StaticPrefilter(feasibility)
         builder = GoalBuilder(block_location=model.translation.block_location)
-        targets = sorted(model.translation.block_location)
-
-        def run(active):
-            engine = QueryEngine(
-                model.translation,
-                QueryEngineOptions(
-                    budget=QueryBudget(), slicing=True, prefilter=active
-                ),
+        small_goals = [
+            builder.reach_block(b) for b in sorted(model.translation.block_location)
+        ]
+        deep = industrial_deep_batch
+        batches = [
+            (app, model, small_goals, QueryBudget()),
+            (deep.app, deep.model, deep.goals(), deep.budget),
+        ]
+        for app, model, goals, budget in batches:
+            feasibility = analyze_feasibility(
+                app.cfg, app.analyzed.table(app.function_name)
             )
-            results = [engine.check(builder.reach_block(b)) for b in targets]
-            return results, engine.stats
+            prefilter = StaticPrefilter(feasibility)
 
-        baseline, base_stats = run(None)
-        filtered, filt_stats = run(prefilter)
-        assert [r.verdict for r in baseline] == [r.verdict for r in filtered]
-        assert filt_stats.static_prunes > 0
-        assert filt_stats.solver_runs < base_stats.solver_runs
-        # a pruned goal yields no witness; an unpruned one must keep its
-        # witness inputs bit-identical
-        for before, after in zip(baseline, filtered):
-            if before.counterexample is not None and after.counterexample is not None:
-                assert before.counterexample.inputs == after.counterexample.inputs
+            def run(active):
+                engine = QueryEngine(
+                    model.translation,
+                    QueryEngineOptions(budget=budget, slicing=True, prefilter=active),
+                )
+                return [engine.check(goal) for goal in goals], engine.stats
+
+            baseline, base_stats = run(None)
+            filtered, filt_stats = run(prefilter)
+            assert [r.verdict for r in baseline] == [r.verdict for r in filtered]
+            assert filt_stats.static_prunes > 0
+            assert filt_stats.solver_runs < base_stats.solver_runs
+            # a pruned goal is unreachable either way, so it had no witness
+            # to lose; every other witness must stay bit-identical
+            for before, after in zip(baseline, filtered):
+                assert (before.counterexample is None) == (after.counterexample is None)
+                if after.counterexample is not None:
+                    assert before.counterexample.inputs == after.counterexample.inputs
+                    assert (
+                        before.counterexample.initial_state
+                        == after.counterexample.initial_state
+                    )
 
 
 # ---------------------------------------------------------------------- #

@@ -33,6 +33,10 @@ from repro.service import (
     report_json,
 )
 from repro.testgen import HybridOptions
+from repro.workloads.multi import (
+    edit_call_chain_function,
+    generate_call_chain_workload,
+)
 
 pytestmark = pytest.mark.service
 
@@ -60,6 +64,11 @@ int solo(int c) { return c + 2; }
 }
 
 TINY = {"unit": "int only(int x) { if (x > 1) { x = x - 1; } return x; }"}
+
+#: the 9-function call-chain project, and the same with ``diamond_left``
+#: edited: the edit dirties it and its one transitive caller ``task_0``
+CALL_CHAIN_V1 = generate_call_chain_workload(seed=2005).sources
+CALL_CHAIN_V2 = edit_call_chain_function(CALL_CHAIN_V1, "diamond_left")
 
 
 def quick_config(**overrides) -> AnalyzerConfig:
@@ -227,32 +236,50 @@ def test_incremental_edit_reanalyses_exactly_the_frontier(server, client):
     # the untouched function comes straight from the warm cache
     assert second["cache"]["hits"] >= 1
 
+    # the same on the call-chain project; re-submitting the edit is then
+    # served by the finished job instead of starting a new one
+    client.analyze(CALL_CHAIN_V1, session="chain", wait=120)
+    third = client.analyze(CALL_CHAIN_V2, session="chain", wait=120)
+    assert third["state"] == "done"
+    assert third["incremental"]["frontier"] == [
+        "unit_0.c:diamond_left",
+        "unit_0.c:task_0",
+    ]
+    assert len(third["incremental"]["reused"]) == 7
+    assert client.analyze(CALL_CHAIN_V2, session="chain")["deduplicated"] is True
+    assert client.stats()["jobs"]["completed"] == 4
+
 
 def test_incremental_rerun_is_bit_identical_to_cold_run(server, client, tmp_path):
-    warm = client.analyze(CHAIN_V1, session="ident")
-    client.wait_for(warm["job_id"], timeout=120.0)
-    edited = client.analyze(CHAIN_V2, session="ident")
-    edited = client.wait_for(edited["job_id"], timeout=120.0)
-    assert edited["state"] == "done"
-    _, _, served = client.result(edited["fingerprint"])
+    edits = {
+        "chain": (CHAIN_V1, CHAIN_V2),
+        "call-chain": (CALL_CHAIN_V1, CALL_CHAIN_V2),
+    }
+    for session, (before, after) in edits.items():
+        warm = client.analyze(before, session=session)
+        client.wait_for(warm["job_id"], timeout=120.0)
+        edited = client.analyze(after, session=session)
+        edited = client.wait_for(edited["job_id"], timeout=120.0)
+        assert edited["state"] == "done"
+        _, _, served = client.result(edited["fingerprint"])
 
-    # cold direct run of the edited sources: fresh cache, no service
-    scheduler = ProjectScheduler(
-        Project.from_sources(CHAIN_V2),
-        config=quick_config(),
-        cache=ResultCache(tmp_path / "cold-cache"),
-    )
-    cold = scheduler.run()
+        # cold direct run of the edited sources: fresh cache, no service
+        scheduler = ProjectScheduler(
+            Project.from_sources(after),
+            config=quick_config(),
+            cache=ResultCache(tmp_path / session),
+        )
+        cold = scheduler.run()
 
-    served_payloads = json.loads(served)["functions"]
-    for payload in served_payloads:
-        # run-provenance fields (where it ran, what trouble it survived)
-        # legitimately differ between an incremental and a cold run
-        for key in ("from_cache", "retries", "fault_events"):
-            payload.pop(key)
-    assert json.dumps(served_payloads, indent=2) == json.dumps(
-        cold.function_payloads(), indent=2
-    ), "served incremental result must be bit-identical to a cold run"
+        served_payloads = json.loads(served)["functions"]
+        for payload in served_payloads:
+            # run-provenance fields (where it ran, what trouble it survived)
+            # legitimately differ between an incremental and a cold run
+            for key in ("from_cache", "retries", "fault_events"):
+                payload.pop(key)
+        assert json.dumps(served_payloads, indent=2) == json.dumps(
+            cold.function_payloads(), indent=2
+        ), f"{session}: served result must be bit-identical to a cold run"
 
 
 # ---------------------------------------------------------------------- #
