@@ -28,12 +28,11 @@ entirely through :mod:`repro.analysis.bitset`.
 from __future__ import annotations
 
 import enum
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
-from .. import perf
+from .. import obs
 from ..cfg.graph import depth_first_postorder
 
 NodeT = TypeVar("NodeT", bound=Hashable)
@@ -126,98 +125,97 @@ def _flow_reverse_postorder(
 
 def solve(problem: DataflowProblem[NodeT, FactT]) -> DataflowResult[NodeT, FactT]:
     """Run the iterative worklist algorithm until a fixed point is reached."""
-    started = time.perf_counter()
-    nodes = list(problem.nodes)
-    node_set = set(nodes)
-    if problem.direction is Direction.FORWARD:
-        flow_succ = {
-            n: [s for s in problem.successors(n) if s in node_set] for n in nodes
-        }
-        if problem.predecessors is not None:
-            flow_pred = {
-                n: [p for p in problem.predecessors(n) if p in node_set]
-                for n in nodes
-            }
-        else:
-            flow_pred = {n: [] for n in nodes}
-            for node in nodes:
-                for succ in flow_succ[node]:
-                    flow_pred[succ].append(node)
-    else:
-        # invert the graph: "predecessors" in flow order are CFG successors
-        flow_pred = {
-            n: [s for s in problem.successors(n) if s in node_set] for n in nodes
-        }
-        if problem.predecessors is not None:
+    with obs.stage("dataflow.solve"):
+        nodes = list(problem.nodes)
+        node_set = set(nodes)
+        if problem.direction is Direction.FORWARD:
             flow_succ = {
-                n: [p for p in problem.predecessors(n) if p in node_set]
-                for n in nodes
+                n: [s for s in problem.successors(n) if s in node_set] for n in nodes
             }
+            if problem.predecessors is not None:
+                flow_pred = {
+                    n: [p for p in problem.predecessors(n) if p in node_set]
+                    for n in nodes
+                }
+            else:
+                flow_pred = {n: [] for n in nodes}
+                for node in nodes:
+                    for succ in flow_succ[node]:
+                        flow_pred[succ].append(node)
         else:
-            flow_succ = {n: [] for n in nodes}
-            for node in nodes:
-                for succ in flow_pred[node]:
-                    flow_succ[succ].append(node)
+            # invert the graph: "predecessors" in flow order are CFG successors
+            flow_pred = {
+                n: [s for s in problem.successors(n) if s in node_set] for n in nodes
+            }
+            if problem.predecessors is not None:
+                flow_succ = {
+                    n: [p for p in problem.predecessors(n) if p in node_set]
+                    for n in nodes
+                }
+            else:
+                flow_succ = {n: [] for n in nodes}
+                for node in nodes:
+                    for succ in flow_pred[node]:
+                        flow_succ[succ].append(node)
 
-    boundary = set(problem.boundary_nodes)
-    in_facts: dict[NodeT, FactT] = {
-        node: problem.boundary if node in boundary else problem.initial
-        for node in nodes
-    }
-    out_facts: dict[NodeT, FactT] = {}
+        boundary = set(problem.boundary_nodes)
+        in_facts: dict[NodeT, FactT] = {
+            node: problem.boundary if node in boundary else problem.initial
+            for node in nodes
+        }
+        out_facts: dict[NodeT, FactT] = {}
 
-    if problem.order is not None:
-        seed_order = [n for n in problem.order if n in node_set]
-        if len(seed_order) != len(nodes):
-            present = set(seed_order)
-            seed_order.extend(n for n in nodes if n not in present)
-    else:
-        seed_order = _flow_reverse_postorder(nodes, flow_succ, problem.boundary_nodes)
-
-    worklist: deque[NodeT] = deque(seed_order)
-    pending = set(seed_order)
-    join = problem.join
-    transfer = problem.transfer
-    equals = problem.equals
-    iterations = 0
-    while worklist:
-        iterations += 1
-        if iterations > problem.max_iterations:
-            raise RuntimeError(
-                f"dataflow analysis did not converge after {problem.max_iterations} steps"
-            )
-        node = worklist.popleft()
-        pending.discard(node)
-        incoming = [out_facts[p] for p in flow_pred.get(node, ()) if p in out_facts]
-        if node in boundary:
-            new_in = problem.boundary if not incoming else join(
-                incoming + [problem.boundary]
-            )
-        elif incoming:
-            new_in = join(incoming)
+        if problem.order is not None:
+            seed_order = [n for n in problem.order if n in node_set]
+            if len(seed_order) != len(nodes):
+                present = set(seed_order)
+                seed_order.extend(n for n in nodes if n not in present)
         else:
-            new_in = problem.initial
-        new_out = transfer(node, new_in)
-        if node in out_facts:
-            changed = not equals(new_out, out_facts[node]) or not equals(
-                new_in, in_facts[node]
-            )
-        else:
-            # first visit: the node's out fact did not exist yet
-            changed = True
-        in_facts[node] = new_in
-        out_facts[node] = new_out
-        if changed:
-            for succ in flow_succ.get(node, ()):
-                if succ not in pending:
-                    pending.add(succ)
-                    worklist.append(succ)
-    # every node was seeded, so every node has been popped at least once;
-    # re-key in node order for deterministic result iteration
-    out_facts = {node: out_facts[node] for node in nodes}
-    perf.add("dataflow.solve_calls")
-    perf.add("dataflow.iterations", iterations)
-    perf.record_time("dataflow.solve", time.perf_counter() - started)
+            seed_order = _flow_reverse_postorder(nodes, flow_succ, problem.boundary_nodes)
+
+        worklist: deque[NodeT] = deque(seed_order)
+        pending = set(seed_order)
+        join = problem.join
+        transfer = problem.transfer
+        equals = problem.equals
+        iterations = 0
+        while worklist:
+            iterations += 1
+            if iterations > problem.max_iterations:
+                raise RuntimeError(
+                    f"dataflow analysis did not converge after {problem.max_iterations} steps"
+                )
+            node = worklist.popleft()
+            pending.discard(node)
+            incoming = [out_facts[p] for p in flow_pred.get(node, ()) if p in out_facts]
+            if node in boundary:
+                new_in = problem.boundary if not incoming else join(
+                    incoming + [problem.boundary]
+                )
+            elif incoming:
+                new_in = join(incoming)
+            else:
+                new_in = problem.initial
+            new_out = transfer(node, new_in)
+            if node in out_facts:
+                changed = not equals(new_out, out_facts[node]) or not equals(
+                    new_in, in_facts[node]
+                )
+            else:
+                # first visit: the node's out fact did not exist yet
+                changed = True
+            in_facts[node] = new_in
+            out_facts[node] = new_out
+            if changed:
+                for succ in flow_succ.get(node, ()):
+                    if succ not in pending:
+                        pending.add(succ)
+                        worklist.append(succ)
+        # every node was seeded, so every node has been popped at least once;
+        # re-key in node order for deterministic result iteration
+        out_facts = {node: out_facts[node] for node in nodes}
+    obs.count("dataflow.solve_calls")
+    obs.count("dataflow.iterations", iterations)
     return DataflowResult(in_facts=in_facts, out_facts=out_facts, iterations=iterations)
 
 

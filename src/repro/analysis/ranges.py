@@ -29,11 +29,10 @@ in the tests.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .. import perf
+from .. import obs
 from ..cfg.graph import ControlFlowGraph
 from ..minic.ast_nodes import (
     AssignExpr,
@@ -131,59 +130,58 @@ class RangeAnalyzer:
 
     # ------------------------------------------------------------------ #
     def run(self) -> RangeAnalysisResult:
-        started = time.perf_counter()
-        names = set(self._defaults)
-        entry_env: dict[int, RangeEnvironment] = {}
-        # initial environment: inputs get their declared range, other
-        # variables start at their initialiser (handled per statement) or the
-        # full type range
-        initial = RangeEnvironment(ranges=dict(self._defaults))
-        entry_env[self._cfg.entry.block_id] = initial
+        with obs.stage("ranges.solve"):
+            names = set(self._defaults)
+            entry_env: dict[int, RangeEnvironment] = {}
+            # initial environment: inputs get their declared range, other
+            # variables start at their initialiser (handled per statement) or the
+            # full type range
+            initial = RangeEnvironment(ranges=dict(self._defaults))
+            entry_env[self._cfg.entry.block_id] = initial
 
-        # cached adjacency + reverse postorder: seeding the worklist in RPO
-        # means (back edges aside) a block's predecessors are transferred
-        # before the block itself, so the first sweep already propagates the
-        # entry environment through the whole graph; blocks seeded before
-        # their environment arrives simply skip and are re-queued by their
-        # predecessors
-        successors = self._cfg.successor_map()
-        seed_order = self._cfg.reverse_postorder()
+            # cached adjacency + reverse postorder: seeding the worklist in RPO
+            # means (back edges aside) a block's predecessors are transferred
+            # before the block itself, so the first sweep already propagates the
+            # entry environment through the whole graph; blocks seeded before
+            # their environment arrives simply skip and are re-queued by their
+            # predecessors
+            successors = self._cfg.successor_map()
+            seed_order = self._cfg.reverse_postorder()
 
-        update_counts: dict[tuple[int, str], int] = {}
-        worklist = deque(seed_order)
-        pending = set(seed_order)
-        out_env: dict[int, RangeEnvironment] = {}
-        iterations = 0
-        while worklist:
-            iterations += 1
-            if iterations > 50 * max(1, len(self._cfg)):
-                break  # widening guarantees this is unreachable, but be safe
-            block_id = worklist.popleft()
-            pending.discard(block_id)
-            env_in = entry_env.get(block_id)
-            if env_in is None:
-                continue
-            env_out = self._transfer(block_id, env_in.copy())
-            if block_id in out_env and out_env[block_id] == env_out:
-                continue
-            out_env[block_id] = env_out
-            for successor in successors.get(block_id, ()):
-                if successor in entry_env:
-                    joined = entry_env[successor].join(env_out, names, self._defaults)
-                    joined = self._widen(successor, entry_env[successor], joined, update_counts)
-                    if joined == entry_env[successor]:
-                        continue
-                    entry_env[successor] = joined
-                else:
-                    entry_env[successor] = env_out.copy()
-                if successor not in pending:
-                    pending.add(successor)
-                    worklist.append(successor)
+            update_counts: dict[tuple[int, str], int] = {}
+            worklist = deque(seed_order)
+            pending = set(seed_order)
+            out_env: dict[int, RangeEnvironment] = {}
+            iterations = 0
+            while worklist:
+                iterations += 1
+                if iterations > 50 * max(1, len(self._cfg)):
+                    break  # widening guarantees this is unreachable, but be safe
+                block_id = worklist.popleft()
+                pending.discard(block_id)
+                env_in = entry_env.get(block_id)
+                if env_in is None:
+                    continue
+                env_out = self._transfer(block_id, env_in.copy())
+                if block_id in out_env and out_env[block_id] == env_out:
+                    continue
+                out_env[block_id] = env_out
+                for successor in successors.get(block_id, ()):
+                    if successor in entry_env:
+                        joined = entry_env[successor].join(env_out, names, self._defaults)
+                        joined = self._widen(successor, entry_env[successor], joined, update_counts)
+                        if joined == entry_env[successor]:
+                            continue
+                        entry_env[successor] = joined
+                    else:
+                        entry_env[successor] = env_out.copy()
+                    if successor not in pending:
+                        pending.add(successor)
+                        worklist.append(successor)
 
-        global_ranges = self._global_ranges(names)
-        perf.add("ranges.solve_calls")
-        perf.add("ranges.iterations", iterations)
-        perf.record_time("ranges.solve", time.perf_counter() - started)
+            global_ranges = self._global_ranges(names)
+        obs.count("ranges.solve_calls")
+        obs.count("ranges.iterations", iterations)
         return RangeAnalysisResult(global_ranges=global_ranges, block_entry=entry_env)
 
     def _global_ranges(self, names: set[str]) -> dict[str, IntRange]:

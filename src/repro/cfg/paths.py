@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .. import perf
+from .. import obs
 from ..minic.ast_nodes import (
     BreakStmt,
     CompoundStmt,
@@ -200,7 +200,7 @@ class CfgPathCounter:
         source_id = source.block_id if isinstance(source, BasicBlock) else source
         target_ids = self._target_ids(targets)
         region_key = frozenset(region) if region is not None else None
-        perf.add("paths.count_calls")
+        obs.count("paths.count_calls")
         return self._count(source_id, target_ids, region, region_key)
 
     def _target_ids(self, targets: Sequence[BasicBlock | int] | None) -> set[int]:
@@ -283,4 +283,4 @@ def enumerate_paths(
                 stack.append((edge.target, blocks + (edge.target,), edges + (edge,)))
     finally:
         if produced:
-            perf.add("paths.enumerated", produced)
+            obs.count("paths.enumerated", produced)

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .. import perf
+from .. import obs
 from ..solver.expression import concrete_eval
 from ..transsys.system import Transition, TransitionSystem
 from .property import ReachabilityGoal
@@ -78,10 +78,10 @@ class ExplicitStateEngine:
 
     # ------------------------------------------------------------------ #
     def check(self, goal: ReachabilityGoal) -> CheckResult:
-        with perf.timed("mc.explicit.check"):
+        with obs.stage("mc.explicit.check"):
             result = self._check(goal)
-        perf.add("mc.explicit.checks")
-        perf.add("mc.explicit.explored_states", result.statistics.explored_states)
+        obs.count("mc.explicit.checks")
+        obs.count("mc.explicit.explored_states", result.statistics.explored_states)
         return result
 
     def _check(self, goal: ReachabilityGoal) -> CheckResult:

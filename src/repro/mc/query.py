@@ -27,11 +27,10 @@ Every model-checking question the WCET tool chain asks ("reach this block",
   loaded back -- witness-replay-validated -- before any engine runs, so a
   warm run answers every planned query from disk with zero solver calls.
 
-Progress is surfaced through :mod:`repro.perf`: counters ``mc.query.*``
-(planned / sliced / escalations / budget_exhausted / engine_faults /
-witness_reuse / store_hits / store_misses / store_writes / replay_failures
-/ solver_runs / static_prunes) and timers ``mc.plan`` / ``mc.slice`` /
-``mc.solve``.
+Progress is counted once, in :class:`QueryEngineStats`; each
+:meth:`QueryEngine.check_all` batch folds its deltas into the :mod:`repro.obs`
+registry as counters ``mc.query.<field>``.  The stages are ``mc.plan``,
+``mc.slice`` and ``mc.solve``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import enum
 import time
 from dataclasses import dataclass, replace
 
-from .. import obs, perf
+from .. import obs
 from ..resilience import InjectedFault, maybe_fault, poll_deadline
 from ..transsys.translate import TranslationResult
 from .explicit import ExplicitEngineOptions, ExplicitStateEngine, StateSpaceTooLarge
@@ -118,7 +117,12 @@ class QueryEngineOptions:
 
 @dataclass
 class QueryEngineStats:
-    """In-process counters of one query engine (mirrored into repro.perf)."""
+    """The one count of a query engine's work.
+
+    ``query_diagnostics()`` of the test-data generator reads it directly;
+    every :meth:`QueryEngine.check_all` batch adds its deltas to the
+    ambient :mod:`repro.obs` registry as ``mc.query.<field>``.
+    """
 
     planned: int = 0
     sliced: int = 0
@@ -182,17 +186,22 @@ class QueryEngine:
         its siblings), and witness reuse -- hence every returned vector --
         does not depend on the caller's order.
         """
-        with obs.span("mc.plan", goals=len(goals)), perf.timed("mc.plan"):
-            ordered = sorted(
-                goals,
-                key=lambda item: (item[1].ordered_labels, item[1].description),
-            )
-        return {key: self.check(goal) for key, goal in ordered}
+        before = self.stats.as_dict()
+        try:
+            with obs.stage("mc.plan", goals=len(goals)):
+                ordered = sorted(
+                    goals,
+                    key=lambda item: (item[1].ordered_labels, item[1].description),
+                )
+            return {key: self.check(goal) for key, goal in ordered}
+        finally:
+            for field, value in self.stats.as_dict().items():
+                if value != before[field]:
+                    obs.count(f"mc.query.{field}", value - before[field])
 
     def check(self, goal: ReachabilityGoal) -> CheckResult:
         """Answer one reachability goal within the configured budget."""
         self.stats.planned += 1
-        perf.add("mc.query.planned")
 
         # 0. sound static prefilter: goals the interval analysis proved
         #    unreachable are settled before slicing or any engine work.
@@ -204,7 +213,6 @@ class QueryEngine:
             goal, self._translation.location_block
         ):
             self.stats.static_prunes += 1
-            perf.add("mc.query.static_prunes")
             return CheckResult(
                 verdict=Verdict.UNREACHABLE,
                 statistics=self._empty_statistics(),
@@ -237,7 +245,6 @@ class QueryEngine:
         reused = self._covered_by_known_witness(goal)
         if reused is not None:
             self.stats.witness_reuse += 1
-            perf.add("mc.query.witness_reuse")
             self._persist(store, fingerprint, goal, replay_system, reused)
             return reused
 
@@ -370,11 +377,10 @@ class QueryEngine:
             return self._slices[seed]
         if self._forward is None:
             self._forward = forward_reachable_locations(self._translation.system)
-        with perf.timed("mc.slice"):
+        with obs.stage("mc.slice"):
             goal_slice = slice_for_goal(self._translation, goal, self._forward)
         if goal_slice.is_proper:
             self.stats.sliced += 1
-            perf.add("mc.query.sliced")
         self._slices[seed] = goal_slice
         return goal_slice
 
@@ -460,12 +466,11 @@ class QueryEngine:
                 label, model, budget, deadline, spent_steps, spent_solver_calls
             )
             try:
-                with obs.span("mc.solve", engine=label), perf.timed("mc.solve"):
+                with obs.stage("mc.solve", engine=label):
                     maybe_fault("mc.solve", goal.description)
                     # the warm-run gate: a run answered entirely from the
                     # store executes zero engine stages
                     self.stats.solver_runs += 1
-                    perf.add("mc.query.solver_runs")
                     result = engine.check(goal)
             except StateSpaceTooLarge:
                 if self._options.engine is EngineKind.EXPLICIT:
@@ -485,13 +490,11 @@ class QueryEngine:
                 break
             if index + 1 < len(stages):
                 self.stats.escalations += 1
-                perf.add("mc.query.escalations")
 
         if last is None and solver_faults:
             # every stage that ran died on an injected solver fault: degrade
             # to a typed verdict ("unreached, pessimise"), never raise
             self.stats.engine_faults += 1
-            perf.add("mc.query.engine_faults")
             stats = self._empty_statistics()
             stats.engines_tried = tuple(engines_tried)
             stats.stop_reason = "engine-fault"
@@ -625,7 +628,6 @@ class QueryEngine:
             )
             if limit is not None:
                 self.stats.budget_exhausted += 1
-                perf.add("mc.query.budget_exhausted")
                 return CheckResult(
                     verdict=Verdict.BUDGET_EXHAUSTED,
                     statistics=stats,

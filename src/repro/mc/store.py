@@ -26,7 +26,7 @@ Trust model: **nothing loaded from disk is believed without evidence.**
   load-time replay failure hard evidence of tampering or corruption.
 
 The store is handed to query engines ambiently (a ``contextvars`` context
-manager, like :func:`repro.perf.using_registry`) so pool workers, service
+manager, like :func:`repro.obs.using_registry`) so pool workers, service
 jobs and the CLI all share one wiring idiom.
 """
 
@@ -40,7 +40,6 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .. import perf
 from ..solver.expression import EvaluationError
 from .explicit import concrete_step
 from .property import ReachabilityGoal
@@ -271,7 +270,7 @@ def structural_error(
 # ---------------------------------------------------------------------- #
 @dataclass
 class QueryStoreStats:
-    """Counters of one store handle (mirrored into ``repro.perf``)."""
+    """Counters of one store handle (engines count their share per batch)."""
 
     hits: int = 0
     misses: int = 0
@@ -319,14 +318,12 @@ class QueryStore:
             return self._miss()
         if entry["verdict"] == Verdict.UNREACHABLE.value:
             self.stats.hits += 1
-            perf.add("mc.query.store_hits")
             return Verdict.UNREACHABLE, None
         witness = replay_witness(system, goal, entry["witness"])
         if witness is None:
             self._reject(key, goal, "witness replay failed")
             return self._miss()
         self.stats.hits += 1
-        perf.add("mc.query.store_hits")
         return Verdict.REACHABLE, witness
 
     def save(
@@ -357,18 +354,15 @@ class QueryStore:
         if not self._cache.put_query(key, entry):
             return False
         self.stats.writes += 1
-        perf.add("mc.query.store_writes")
         return True
 
     # ------------------------------------------------------------------ #
     def _miss(self) -> None:
         self.stats.misses += 1
-        perf.add("mc.query.store_misses")
         return None
 
     def _reject(self, key: str, goal: ReachabilityGoal, reason: str) -> None:
         self.stats.replay_failures += 1
-        perf.add("mc.query.replay_failures")
         self.replay_failures.append(
             {"key": key, "goal": goal.description, "reason": reason}
         )
@@ -378,7 +372,7 @@ class QueryStore:
 
 
 # ---------------------------------------------------------------------- #
-# ambient wiring (mirrors repro.perf.using_registry)
+# ambient wiring (mirrors repro.obs.using_registry)
 # ---------------------------------------------------------------------- #
 _ACTIVE_STORE: contextvars.ContextVar[QueryStore | None] = contextvars.ContextVar(
     "repro_query_store", default=None

@@ -1,20 +1,26 @@
-"""repro.obs -- end-to-end observability for the analysis pipeline.
+"""repro.obs -- the one instrumentation path of the analysis pipeline.
 
-Three cooperating layers on top of the :mod:`repro.perf` counters/timers:
+Instrumented code calls two things: ``obs.stage(name, **attrs)`` around a
+timed region and ``obs.count(name, n)`` for a counter.  Everything else
+reads what those two record:
 
-- :mod:`repro.obs.trace` -- structured spans with ``trace_id``/``span_id``/
+- :mod:`repro.obs.registry` -- the counters and stage timers (with fixed
+  histogram buckets) of the ambient :class:`Registry`; pool workers and
+  service jobs record into their own registry and merge or report it;
+- :mod:`repro.obs.trace` -- :func:`stage` itself, which under an active
+  :class:`Tracer` is also a structured span with ``trace_id``/``span_id``/
   parent links, propagated from a service HTTP request through the job
   queue, scheduler waves and process-pool workers down to analyzer stages,
   model-checking queries and cache I/O; exportable as JSONL and Chrome
   trace-event JSON (``repro-wcet project --trace`` / ``repro-wcet trace``);
-- :mod:`repro.obs.metrics` -- Prometheus text exposition of a perf report
-  (histogram timers included), served by ``GET /v1/metrics``;
+- :mod:`repro.obs.metrics` -- Prometheus text exposition of a registry
+  report (histogram timers included), served by ``GET /v1/metrics``;
 - :mod:`repro.obs.flight` -- the crash flight recorder: a bounded ring of
   recent spans dumped to ``diagnostics/`` when a job is quarantined, a
   fault fires or the server answers 5xx.
 
-Tracing is off unless a :class:`Tracer` is activated; the disabled path is
-a single ``ContextVar`` read per instrumented region.
+Every stage and counter name is listed in ``obs/NAMES.md``.  Tracing is off
+unless a :class:`Tracer` is activated.
 """
 
 from __future__ import annotations
@@ -26,6 +32,16 @@ from .flight import (
     FlightRecorder,
 )
 from .metrics import PROMETHEUS_CONTENT_TYPE, metric_name, prometheus_text
+from .registry import (
+    HISTOGRAM_BOUNDS,
+    Registry,
+    TimerStat,
+    active_registry,
+    count,
+    report,
+    reset,
+    using_registry,
+)
 from .trace import (
     DEFAULT_RING_EVENTS,
     TRACE_SCHEMA,
@@ -35,7 +51,7 @@ from .trace import (
     chrome_trace,
     current_context,
     read_trace_file,
-    span,
+    stage,
     summarize,
     using_tracer,
     write_chrome,
@@ -48,18 +64,26 @@ __all__ = [
     "DIAGNOSTICS_DIR",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
+    "HISTOGRAM_BOUNDS",
     "PROMETHEUS_CONTENT_TYPE",
+    "Registry",
     "SpanContext",
     "TRACE_SCHEMA",
+    "TimerStat",
     "Tracer",
+    "active_registry",
     "active_tracer",
     "chrome_trace",
+    "count",
     "current_context",
     "metric_name",
     "prometheus_text",
     "read_trace_file",
-    "span",
+    "report",
+    "reset",
+    "stage",
     "summarize",
+    "using_registry",
     "using_tracer",
     "write_chrome",
     "write_jsonl",

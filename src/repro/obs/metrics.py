@@ -1,6 +1,6 @@
-"""Prometheus text-format exposition of a perf-registry report.
+"""Prometheus text-format exposition of a registry report.
 
-Renders the counters and timers of a :class:`repro.perf.PerfRegistry`
+Renders the counters and stage timers of a :class:`repro.obs.Registry`
 report (schema ``repro-perf/2``) in the Prometheus text exposition format
 0.0.4: counters as ``<name>_total``, timers as ``<name>_seconds``
 histograms backed by the registry's bounded latency buckets
@@ -11,8 +11,7 @@ names are sanitised (dots become underscores) and prefixed, so
 The renderer works on the plain report *dict*, not the registry object:
 the server snapshots its aggregate registry under its own lock and hands
 the frozen report here, and the same code can expose a report loaded from
-disk.  Older ``repro-perf/1`` reports (no histogram field) degrade to
-``_sum``/``_count``-only histograms rather than failing.
+disk.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def prometheus_text(
     prefix: str = "repro_",
     extra_counters: Iterable[tuple[str, dict[str, str] | None, int]] = (),
 ) -> str:
-    """Render one perf report (plus optional labelled counters) as text.
+    """Render one registry report (plus optional labelled counters) as text.
 
     ``extra_counters`` is ``(metric name, labels, value)`` triples for
     counters that live outside the registry (the server's per-endpoint and
@@ -83,20 +82,15 @@ def prometheus_text(
         calls = int(stat.get("calls", 0))
         total = float(stat.get("total_seconds", 0.0))
         lines.append(f"# TYPE {name} histogram")
-        histogram = stat.get("histogram")
-        if isinstance(histogram, dict):
-            bounds = list(histogram.get("bounds") or [])
-            counts = list(histogram.get("counts") or [])
-            cumulative = 0
-            for bound, count in zip(bounds + [float("inf")], counts):
-                cumulative += int(count)
-                lines.append(
-                    f'{name}_bucket{{le="{_format_le(float(bound))}"}} '
-                    f"{cumulative}"
-                )
-        else:
-            # a pre-/2 report: no buckets recorded, expose the +Inf bucket
-            lines.append(f'{name}_bucket{{le="+Inf"}} {calls}')
+        histogram = stat["histogram"]
+        cumulative = 0
+        for bound, count in zip(
+            list(histogram["bounds"]) + [float("inf")], histogram["counts"]
+        ):
+            cumulative += int(count)
+            lines.append(
+                f'{name}_bucket{{le="{_format_le(float(bound))}"}} {cumulative}'
+            )
         lines.append(f"{name}_sum {_format_value(total)}")
         lines.append(f"{name}_count {calls}")
     grouped: dict[str, list[str]] = {}

@@ -1,25 +1,20 @@
-"""Lightweight performance instrumentation: counters and timers.
+"""Counters and stage timers: the numeric half of the instrumentation path.
 
-The hot paths of the reproduction (the dataflow fixpoint solver, path
-enumeration, the explicit-state engine) record how much work they do into a
-:class:`PerfRegistry`.  The registry is deliberately simple -- plain dicts
-behind a lock -- so that instrumenting a hot loop costs one dict update per
-*call*, not per iteration: callers aggregate locally and record once.
+Instrumented code records into a :class:`Registry` through two calls:
+:func:`count` bumps a named counter, and :func:`repro.obs.stage` times a
+named region (and, when a tracer is active, records the span of the same
+name).  The registry is deliberately simple -- plain dicts behind a lock --
+so that instrumenting a hot loop costs one dict update per *call*, not per
+iteration: callers aggregate locally and record once.
 
-A process-wide default registry is available through the module-level
-helpers (:func:`add`, :func:`record_time`, :func:`timed`, :func:`report`,
-:func:`reset`).
-
-The *ambient* registry the helpers write to is a
-:class:`contextvars.ContextVar` whose default is the process-wide registry:
-single-process batch runs (the CLI, the benchmarks) see exactly the
-behaviour they always had, while concurrent executions that must not bleed
-counters into each other -- one analysis request per client of the
-long-running :mod:`repro.service` daemon -- activate their own registry
-with :func:`using_registry` for the duration of the work.  ``ContextVar``
-gives every thread (and every :mod:`asyncio` task, should one appear) its
-own activation slot, so two requests instrumented on two worker threads
-never see each other's counters.
+The *ambient* registry is a :class:`contextvars.ContextVar` whose default is
+the process-wide registry: single-process batch runs (the CLI, the
+benchmarks) record there, while work whose numbers must stay separate --
+one pool-worker job, one service job -- activates its own registry with
+:func:`using_registry`.  ``ContextVar`` gives every thread (and every
+:mod:`asyncio` task) its own activation slot.  A registry's report merges
+into another one (:meth:`Registry.merge`), which is how pool workers hand
+their counts back to the scheduler.
 """
 
 from __future__ import annotations
@@ -27,13 +22,11 @@ from __future__ import annotations
 import bisect
 import contextvars
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
 #: schema tag written into every JSON report; /2 added min/max and the
-#: bounded histogram buckets to every timer (old readers that only consume
-#: calls/total/mean keep working -- the fields are additive)
+#: bounded histogram buckets to every timer
 REPORT_SCHEMA = "repro-perf/2"
 
 #: upper bounds (seconds) of the fixed latency-histogram buckets; one
@@ -46,7 +39,7 @@ HISTOGRAM_BOUNDS: tuple[float, ...] = (
 
 
 class TimerStat:
-    """Accumulated wall-clock time of one named operation."""
+    """Accumulated wall-clock time of one named stage."""
 
     __slots__ = ("calls", "total_seconds", "min_seconds", "max_seconds", "buckets")
 
@@ -72,6 +65,22 @@ class TimerStat:
         self.total_seconds += seconds
         self.buckets[bisect.bisect_left(HISTOGRAM_BOUNDS, seconds)] += 1
 
+    def merge(self, stat: dict[str, Any]) -> None:
+        """Fold one timer of another registry's report into this one."""
+        calls = int(stat["calls"])
+        if not calls:
+            return
+        if self.calls == 0:
+            self.min_seconds = stat["min_seconds"]
+            self.max_seconds = stat["max_seconds"]
+        else:
+            self.min_seconds = min(self.min_seconds, stat["min_seconds"])
+            self.max_seconds = max(self.max_seconds, stat["max_seconds"])
+        self.calls += calls
+        self.total_seconds += stat["total_seconds"]
+        for index, count in enumerate(stat["histogram"]["counts"]):
+            self.buckets[index] += count
+
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.calls if self.calls else 0.0
@@ -90,15 +99,10 @@ class TimerStat:
         }
 
 
-class PerfRegistry:
-    """Named monotonic counters and wall-clock timers.
+class Registry:
+    """Named monotonic counters and stage timers (thread-safe)."""
 
-    Thread-safe; disabling a registry turns every recording operation into a
-    cheap no-op so instrumented code needs no conditional logic of its own.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._timers: dict[str, TimerStat] = {}
         self._lock = threading.Lock()
@@ -108,32 +112,27 @@ class PerfRegistry:
     # ------------------------------------------------------------------ #
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter *name* by *amount*."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
     def record_time(self, name: str, seconds: float) -> None:
         """Record one timed call of *seconds* under *name*."""
-        if not self.enabled:
-            return
         with self._lock:
             stat = self._timers.get(name)
             if stat is None:
                 stat = self._timers[name] = TimerStat()
             stat.record(seconds)
 
-    @contextmanager
-    def timed(self, name: str) -> Iterator[None]:
-        """Context manager timing its body with ``time.perf_counter``."""
-        if not self.enabled:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_time(name, time.perf_counter() - started)
+    def merge(self, report: dict[str, Any]) -> None:
+        """Fold another registry's :meth:`report` into this registry."""
+        with self._lock:
+            for name, amount in report["counters"].items():
+                self._counters[name] = self._counters.get(name, 0) + amount
+            for name, stat in report["timers"].items():
+                mine = self._timers.get(name)
+                if mine is None:
+                    mine = self._timers[name] = TimerStat()
+                mine.merge(stat)
 
     # ------------------------------------------------------------------ #
     # inspection and reporting
@@ -164,32 +163,26 @@ class PerfRegistry:
             }
 
 
-#: process-wide default registry used by the instrumented hot paths
-_GLOBAL_REGISTRY = PerfRegistry()
+#: process-wide default registry
+_GLOBAL_REGISTRY = Registry()
 
-#: the ambient registry the module-level helpers record into; defaults to
-#: the process-wide registry, so nothing changes outside scoped activations
-_ACTIVE_REGISTRY: contextvars.ContextVar[PerfRegistry] = contextvars.ContextVar(
-    "repro_perf_registry", default=_GLOBAL_REGISTRY
+#: the ambient registry :func:`count` and stages record into
+_ACTIVE_REGISTRY: contextvars.ContextVar[Registry] = contextvars.ContextVar(
+    "repro_obs_registry", default=_GLOBAL_REGISTRY
 )
 
 
-def global_registry() -> PerfRegistry:
-    return _GLOBAL_REGISTRY
-
-
-def active_registry() -> PerfRegistry:
-    """The registry the module-level helpers currently record into."""
+def active_registry() -> Registry:
+    """The registry :func:`count` and stages currently record into."""
     return _ACTIVE_REGISTRY.get()
 
 
 @contextmanager
-def using_registry(registry: PerfRegistry) -> Iterator[PerfRegistry]:
+def using_registry(registry: Registry) -> Iterator[Registry]:
     """Make *registry* the ambient recording target for the body.
 
     Activations are per-context (thread/task): a registry activated on one
-    worker thread is invisible to every other thread, which is what gives
-    the analysis service per-request counter isolation.
+    worker thread is invisible to every other thread.
     """
     token = _ACTIVE_REGISTRY.set(registry)
     try:
@@ -198,16 +191,9 @@ def using_registry(registry: PerfRegistry) -> Iterator[PerfRegistry]:
         _ACTIVE_REGISTRY.reset(token)
 
 
-def add(name: str, amount: int = 1) -> None:
+def count(name: str, amount: int = 1) -> None:
+    """Increment counter *name* of the ambient registry by *amount*."""
     _ACTIVE_REGISTRY.get().add(name, amount)
-
-
-def record_time(name: str, seconds: float) -> None:
-    _ACTIVE_REGISTRY.get().record_time(name, seconds)
-
-
-def timed(name: str):
-    return _ACTIVE_REGISTRY.get().timed(name)
 
 
 def report() -> dict[str, Any]:
@@ -216,3 +202,16 @@ def report() -> dict[str, Any]:
 
 def reset() -> None:
     _ACTIVE_REGISTRY.get().reset()
+
+
+__all__ = [
+    "HISTOGRAM_BOUNDS",
+    "REPORT_SCHEMA",
+    "Registry",
+    "TimerStat",
+    "active_registry",
+    "count",
+    "report",
+    "reset",
+    "using_registry",
+]

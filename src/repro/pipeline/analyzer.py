@@ -234,7 +234,7 @@ class WcetAnalyzer:
         if config.static_analysis:
             from ..sa import run_static_analysis
 
-            with obs.span("analyze.sa", function=self._function):
+            with obs.stage("analyze.sa", function=self._function):
                 sa_result = run_static_analysis(
                     cfg, self._analyzed.table(self._function)
                 )
@@ -250,7 +250,7 @@ class WcetAnalyzer:
             )
 
         # 1. partition the CFG into program segments
-        with obs.span("analyze.partition", function=self._function):
+        with obs.stage("analyze.partition", function=self._function):
             partition = _partition_function(function, cfg, config)
 
         # 2. instrumentation plan + simulated board; with callee summaries the
@@ -270,7 +270,7 @@ class WcetAnalyzer:
             self._analyzed, self._function, board, partition, cfg, config.hybrid
         )
         poll_deadline()
-        with obs.span("analyze.testgen", function=self._function):
+        with obs.stage("analyze.testgen", function=self._function):
             suite = generator.generate()
         poll_deadline()
 
@@ -287,7 +287,7 @@ class WcetAnalyzer:
             raise AnalysisError(
                 "test-data generation produced no vectors; cannot measure anything"
             )
-        with obs.span(
+        with obs.stage(
             "analyze.measure", function=self._function, vectors=len(vectors)
         ):
             campaign = runner.run_vectors(vectors, database)
@@ -311,7 +311,7 @@ class WcetAnalyzer:
         #    max(measured, static worst-case estimate): its measured maximum
         #    says nothing about the path it never ran
         degraded = bool(fault_events)
-        with obs.span("analyze.schema", function=self._function):
+        with obs.stage("analyze.schema", function=self._function):
             unreachable = self._fully_infeasible_segments(
                 partition, suite, database
             )
@@ -359,7 +359,7 @@ class WcetAnalyzer:
                 max_steps=config.max_steps_per_run,
             )
         try:
-            with obs.span("analyze.exhaustive", function=self._function):
+            with obs.stage("analyze.exhaustive", function=self._function):
                 end_to_end = self._maybe_exhaustive(
                     verification_board, generator.input_space
                 )

@@ -51,10 +51,10 @@ API::
                              cache=ResultCache(".repro-wcet-cache"))
     print(report.to_text())
 
-The scheduler and cache record into the :mod:`repro.perf` registry
-(``project.jobs*``, ``project.cache.*``, timers ``project.schedule`` /
-``project.analyze_function``), so batch runs show up in perf reports like
-the dataflow hot paths do.
+The scheduler and cache record into the :mod:`repro.obs` registry
+(counters ``project.jobs*`` / ``project.cache.*``, stages ``project.run``
+/ ``project.wave`` / ``project.job`` / ``cache.read`` / ``cache.write``);
+pool workers hand their counts back to the scheduler's registry.
 """
 
 from __future__ import annotations

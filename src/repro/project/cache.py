@@ -46,7 +46,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .. import obs, perf
+from .. import obs
 from ..pipeline.analyzer import AnalyzerConfig
 from ..resilience import FaultInjector, FaultKind, InjectedFault
 from .model import config_fingerprint
@@ -166,20 +166,19 @@ class ResultCache:
             spec = self._maybe_fault("cache.read", key)
             if spec is not None and spec.kind is FaultKind.CORRUPT:
                 corrupt_payload = True
-            with obs.span("cache.read", key=key[:12]), \
-                    perf.timed("project.cache.lookup"):
+            with obs.stage("cache.read", key=key[:12]):
                 summary = self._read(key, force_corrupt=corrupt_payload)
         except InjectedFault as fault:
             self.read_failures += 1
-            perf.add("project.cache.read_failures")
+            obs.count("project.cache.read_failures")
             self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
             summary = None
         if summary is None:
             self.misses += 1
-            perf.add("project.cache.misses")
+            obs.count("project.cache.misses")
             return None
         self.hits += 1
-        perf.add("project.cache.hits")
+        obs.count("project.cache.hits")
         summary.from_cache = True
         return summary
 
@@ -191,7 +190,7 @@ class ResultCache:
             return None
         except OSError as error:
             self.read_failures += 1
-            perf.add("project.cache.read_failures")
+            obs.count("project.cache.read_failures")
             self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
             return None
         if force_corrupt:
@@ -209,13 +208,13 @@ class ResultCache:
         if payload.get("schema") != CACHE_SCHEMA:
             # a different (older/newer) code version's entry: miss, not corrupt
             self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
+            obs.count("project.cache.schema_mismatches")
             return None
         if payload.get("kind", "function") != "function":
             # a query-namespace entry under a function key cannot happen by
             # construction; treat a mislabelled one as another version's
             self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
+            obs.count("project.cache.schema_mismatches")
             return None
         summary = payload.get("summary")
         if not isinstance(summary, dict):
@@ -254,8 +253,7 @@ class ResultCache:
         """Atomically persist one entry's JSON text (shared by both kinds)."""
         path = self.path_for(key)
         try:
-            with obs.span("cache.write", key=key[:12]), \
-                    perf.timed("project.cache.store"), self._lock():
+            with obs.stage("cache.write", key=key[:12]), self._lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 handle = tempfile.NamedTemporaryFile(
                     "w",
@@ -279,8 +277,8 @@ class ResultCache:
                     raise
         except (OSError, InjectedFault) as error:
             self.write_failures += 1
-            perf.add("project.cache.write_failures")
-            perf.add("project.cache.store_failures")
+            obs.count("project.cache.write_failures")
+            obs.count("project.cache.store_failures")
             if not self._warned_write_failure:
                 self._warned_write_failure = True
                 self.diagnostics.append(
@@ -288,7 +286,7 @@ class ResultCache:
                     "results are kept in memory but will not be reused"
                 )
             return False
-        perf.add("project.cache.stores")
+        obs.count("project.cache.stores")
         return True
 
     # ------------------------------------------------------------------ #
@@ -310,20 +308,19 @@ class ResultCache:
             spec = self._maybe_fault("cache.read", key)
             if spec is not None and spec.kind is FaultKind.CORRUPT:
                 corrupt_payload = True
-            with obs.span("cache.read", key=key[:12]), \
-                    perf.timed("project.cache.lookup"):
+            with obs.stage("cache.read", key=key[:12]):
                 entry = self._read_query(key, force_corrupt=corrupt_payload)
         except InjectedFault as fault:
             self.read_failures += 1
-            perf.add("project.cache.read_failures")
+            obs.count("project.cache.read_failures")
             self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
             entry = None
         if entry is None:
             self.query_misses += 1
-            perf.add("project.cache.query_misses")
+            obs.count("project.cache.query_misses")
             return None
         self.query_hits += 1
-        perf.add("project.cache.query_hits")
+        obs.count("project.cache.query_hits")
         return entry
 
     def _read_query(self, key: str, force_corrupt: bool = False) -> dict | None:
@@ -334,7 +331,7 @@ class ResultCache:
             return None
         except OSError as error:
             self.read_failures += 1
-            perf.add("project.cache.read_failures")
+            obs.count("project.cache.read_failures")
             self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
             return None
         if force_corrupt:
@@ -349,11 +346,11 @@ class ResultCache:
             return None
         if payload.get("schema") != CACHE_SCHEMA:
             self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
+            obs.count("project.cache.schema_mismatches")
             return None
         if payload.get("kind") != "query":
             self.schema_mismatches += 1
-            perf.add("project.cache.schema_mismatches")
+            obs.count("project.cache.schema_mismatches")
             return None
         entry = payload.get("entry")
         if not isinstance(entry, dict):
@@ -447,7 +444,7 @@ class ResultCache:
             # quarantine is best-effort; the entry still reads as a miss
             pass
         self.quarantined += 1
-        perf.add("project.cache.quarantined")
+        obs.count("project.cache.quarantined")
         self.diagnostics.append(
             f"quarantined corrupt cache entry {key[:12]}…: {reason}"
         )
@@ -514,7 +511,7 @@ class ResultCache:
                 else:
                     report["schema_mismatch"] = int(report["schema_mismatch"]) + 1
                     notes.append(f"schema mismatch (stale version): {key[:12]}…")
-        perf.add("project.cache.verified_entries", int(report["checked"]))
+        obs.count("project.cache.verified_entries", int(report["checked"]))
         return report
 
     def _entry_kind(self, path: Path) -> str | None:

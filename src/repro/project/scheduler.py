@@ -28,7 +28,7 @@ bit-identical :class:`~repro.project.report.FunctionSummary` payloads -- the
 scheduler only changes *where* a job runs, never *what* it computes.  If the
 process pool cannot be created or dies (sandboxed environments, pickling
 restrictions), the scheduler falls back to serial execution and records the
-reason in ``ProjectReport.fallback_reason`` and the perf registry
+reason in ``ProjectReport.fallback_reason`` and the obs registry
 (``project.scheduler.pool_fallback.*``) rather than failing the batch.
 """
 
@@ -42,7 +42,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 
-from .. import obs, perf
+from .. import obs
 from ..mc.store import QueryStore, using_query_store
 from ..minic import parse_and_analyze
 from ..pipeline.analyzer import (
@@ -143,10 +143,10 @@ def _execute_analysis(
     inject_job_fault: bool = False,
     trace: dict | None = None,
     query_cache_dir: str | None = None,
-) -> tuple[dict, float, list]:
+) -> tuple[dict, list, dict]:
     """Analyse one function from its unit source.
 
-    Returns ``(summary dict, seconds, span events)``.  Module-level so it
+    Returns ``(summary dict, span events, obs report)``.  Module-level so it
     pickles into process-pool workers; the worker re-parses the unit from
     source, which keeps the inter-process payload to plain strings plus the
     (picklable, dataclass-only) config, bound mapping and fault sub-plan.
@@ -162,7 +162,9 @@ def _execute_analysis(
     spans into a private tracer under that parent and returns the events,
     which the scheduler merges back into its own tracer -- the cross-process
     half of the end-to-end trace tree.  ``None`` (untraced run) costs
-    nothing and returns an empty event list.
+    nothing and returns an empty event list.  The job records its counters
+    and stage timers into a fresh registry (the pool reuses worker
+    processes), whose report the scheduler merges into its own.
 
     ``query_cache_dir`` (the scheduler's cache root) re-opens the shared
     persistent model-checking query store inside the worker: verdicts and
@@ -171,7 +173,6 @@ def _execute_analysis(
     identically.  Replay failures quarantine the entry on disk in-place;
     the worker keeps no other store state worth shipping back.
     """
-    started = time.perf_counter()
     injector = (
         FaultInjector(fault_plan)
         if fault_plan is not None and not fault_plan.is_empty
@@ -179,7 +180,9 @@ def _execute_analysis(
     )
     deadline = Deadline(job_timeout_seconds) if job_timeout_seconds else None
     tracer: obs.Tracer | None = None
+    registry = obs.Registry()
     with contextlib.ExitStack() as stack:
+        stack.enter_context(obs.using_registry(registry))
         if trace is not None:
             tracer = obs.Tracer(max_events=trace.get("max_events"))
             stack.enter_context(
@@ -190,9 +193,9 @@ def _execute_analysis(
                     ),
                 )
             )
-            stack.enter_context(
-                obs.span("project.job", function=function_name, worker="pool")
-            )
+        stack.enter_context(
+            obs.stage("project.job", function=function_name, worker="pool")
+        )
         if query_cache_dir is not None:
             stack.enter_context(
                 using_query_store(QueryStore(ResultCache(query_cache_dir)))
@@ -217,7 +220,7 @@ def _execute_analysis(
             unit_name, config.partitioner, report
         )
     events = tracer.events() if tracer is not None else []
-    return summary.to_dict(), time.perf_counter() - started, events
+    return summary.to_dict(), events, registry.report()
 
 
 class ProjectScheduler:
@@ -450,48 +453,40 @@ class ProjectScheduler:
         """Execute the job graph wave by wave and aggregate the project report."""
         started = time.perf_counter()
         jobs = self.jobs()
-        perf.add("project.jobs", len(jobs))
+        obs.count("project.jobs", len(jobs))
         self.flight_dumps = []
         self.trace_id = None
 
         with contextlib.ExitStack() as stack:
             tracer = obs.active_tracer()
-            if (
-                (tracer is None or not tracer.enabled)
-                and not self._fault_plan.is_empty
-            ):
+            if tracer is None and not self._fault_plan.is_empty:
                 # chaos runs arm a private bounded ring so a quarantine or
                 # fired fault always has a recent timeline to freeze into a
                 # flight dump, even without --trace
                 tracer = obs.Tracer(max_events=obs.DEFAULT_RING_EVENTS)
                 stack.enter_context(obs.using_tracer(tracer))
-            self._tracer = (
-                tracer if tracer is not None and tracer.enabled else None
-            )
+            self._tracer = tracer
             root = stack.enter_context(
-                obs.span(
+                obs.stage(
                     "project.run", functions=len(jobs), workers=self._workers
                 )
             )
             if root is not None:
                 self.trace_id = root.trace_id
 
-            with perf.timed("project.schedule"):
-                waves = self._waves(jobs)
-                self.waves_executed = len(waves)
-                perf.add("project.scheduler.waves", len(waves))
-                for wave_index, wave in enumerate(waves):
-                    ready: list[AnalysisJob] = []
-                    for job in wave:
-                        job.wave = wave_index
-                        if not self._fail_on_broken_deps(job, jobs):
-                            ready.append(job)
-                    with obs.span(
-                        "project.wave", wave=wave_index, jobs=len(ready)
-                    ):
-                        runnable = self._probe_cache(ready)
-                        self._execute(runnable)
-                    self._harvest_summaries(wave)
+            waves = self._waves(jobs)
+            self.waves_executed = len(waves)
+            obs.count("project.scheduler.waves", len(waves))
+            for wave_index, wave in enumerate(waves):
+                ready: list[AnalysisJob] = []
+                for job in wave:
+                    job.wave = wave_index
+                    if not self._fail_on_broken_deps(job, jobs):
+                        ready.append(job)
+                with obs.stage("project.wave", wave=wave_index, jobs=len(ready)):
+                    runnable = self._probe_cache(ready)
+                    self._execute(runnable)
+                self._harvest_summaries(wave)
 
             if (
                 self._query_store is not None
@@ -527,20 +522,20 @@ class ProjectScheduler:
         reused_calls = sum(
             summary.summarised_call_sites for summary in summaries
         )
-        perf.add("project.scheduler.summary_reuse_calls", reused_calls)
+        obs.count("project.scheduler.summary_reuse_calls", reused_calls)
         # static-analysis totals for cache-served summaries: fresh in-process
         # jobs already bumped the sa.* counters inside run_static_analysis,
         # so only results answered from the cache are accounted here
         cached = [summary for summary in summaries if summary.from_cache]
-        perf.add(
+        obs.count(
             "sa.edges_pruned",
             sum(summary.sa_edges_pruned for summary in cached),
         )
-        perf.add(
+        obs.count(
             "sa.loop_bounds_inferred",
             sum(summary.sa_loop_bounds_inferred for summary in cached),
         )
-        perf.add(
+        obs.count(
             "sa.diagnostics",
             sum(len(summary.sa_diagnostics) for summary in cached),
         )
@@ -629,7 +624,7 @@ class ProjectScheduler:
             "callee analysis failed, no summary to charge: "
             + ", ".join(sorted(broken))
         )
-        perf.add("project.jobs_failed")
+        obs.count("project.jobs_failed")
         self._notify(job)
         return True
 
@@ -745,7 +740,7 @@ class ProjectScheduler:
                 self._adopt_identity(job, summary)
                 job.summary = summary
                 job.state = JobState.CACHED
-                perf.add("project.jobs_cached")
+                obs.count("project.jobs_cached")
                 self._notify(job)
             else:
                 runnable.append(job)
@@ -812,7 +807,7 @@ class ProjectScheduler:
         """
         for spec in self._job_execute_specs:
             if spec.fires_on(attempt, self._fault_plan.seed, job.qualified_name):
-                perf.add("resilience.injected.job.execute")
+                obs.count("resilience.injected.job.execute")
                 return spec
         return None
 
@@ -835,8 +830,8 @@ class ProjectScheduler:
                     max_workers=min(self._workers, len(pending_jobs))
                 )
             except (OSError, ValueError) as error:
-                perf.add("project.scheduler.pool_fallbacks")
-                perf.add("project.scheduler.pool_fallback.create_failed")
+                obs.count("project.scheduler.pool_fallbacks")
+                obs.count("project.scheduler.pool_fallback.create_failed")
                 self._note_fallback(
                     f"pool-create-failed: {type(error).__name__}: {error}"
                 )
@@ -859,11 +854,11 @@ class ProjectScheduler:
                     job.state = JobState.PENDING
                 if self.pool_restarts < self._pool_restart_budget:
                     self.pool_restarts += 1
-                    perf.add("project.scheduler.pool_restarts")
+                    obs.count("project.scheduler.pool_restarts")
                     pending_jobs = survivors
                     continue
-                perf.add("project.scheduler.pool_fallbacks")
-                perf.add("project.scheduler.pool_fallback.pool_died")
+                obs.count("project.scheduler.pool_fallbacks")
+                obs.count("project.scheduler.pool_fallback.pool_died")
                 self._note_fallback(
                     f"pool-died: {type(error).__name__}: {error} "
                     f"(restart budget of {self._pool_restart_budget} spent)"
@@ -879,8 +874,8 @@ class ProjectScheduler:
                 ]
                 for job in survivors:
                     job.state = JobState.PENDING
-                perf.add("project.scheduler.pool_fallbacks")
-                perf.add("project.scheduler.pool_fallback.pool_died")
+                obs.count("project.scheduler.pool_fallbacks")
+                obs.count("project.scheduler.pool_fallback.pool_died")
                 self._note_fallback(
                     f"pool-died: {type(error).__name__}: {error}"
                 )
@@ -942,7 +937,7 @@ class ProjectScheduler:
             for future in concurrent.futures.as_completed(pending):
                 job = pending.pop(future)
                 try:
-                    payload, seconds, span_events = future.result()
+                    payload, span_events, counts = future.result()
                 except (
                     concurrent.futures.process.BrokenProcessPool,
                     pickle.PicklingError,
@@ -965,7 +960,7 @@ class ProjectScheduler:
                         and job.attempts < self._retry_policy.max_attempts
                     ):
                         job.retries += 1
-                        perf.add("project.scheduler.retries")
+                        obs.count("project.scheduler.retries")
                         job.state = JobState.PENDING
                         retry_serially.append(job)
                     elif kind == "transient":
@@ -980,9 +975,8 @@ class ProjectScheduler:
                     continue
                 if span_events and self._tracer is not None:
                     self._tracer.merge(span_events)
-                self._complete(
-                    job, FunctionSummary.from_dict(payload), seconds
-                )
+                obs.active_registry().merge(counts)
+                self._complete(job, FunctionSummary.from_dict(payload))
         return retry_serially
 
     def _execute_serial(self, job: AnalysisJob) -> None:
@@ -997,14 +991,13 @@ class ProjectScheduler:
                 # sleep the same deterministic schedule every time
                 time.sleep(policy.delay_for(job.attempts, job.qualified_name))
             job.attempts += 1
-            started = time.perf_counter()
             try:
-                with obs.span(
+                with obs.stage(
                     "project.job",
                     function=job.qualified_name,
                     worker="serial",
                 ):
-                    summary, seconds = self._run_job(job, unit, started)
+                    summary = self._run_job(job, unit)
             except JobTimeout as error:
                 # a deterministic computation would time out again: no retry
                 self._quarantine(job, f"wall-clock timeout: {error}")
@@ -1017,7 +1010,7 @@ class ProjectScheduler:
                 )
                 if kind == "transient" and job.attempts < policy.max_attempts:
                     job.retries += 1
-                    perf.add("project.scheduler.retries")
+                    obs.count("project.scheduler.retries")
                     continue
                 if kind == "transient":
                     self._quarantine(
@@ -1030,12 +1023,10 @@ class ProjectScheduler:
                     # behaviour (fail the job, report it) is the right one
                     self._fail(job, error)
                 return
-            self._complete(job, summary, seconds)
+            self._complete(job, summary)
             return
 
-    def _run_job(
-        self, job: AnalysisJob, unit, started: float
-    ) -> tuple[FunctionSummary, float]:
+    def _run_job(self, job: AnalysisJob, unit) -> FunctionSummary:
         """One in-process analysis attempt under the job's resilience context."""
         injector_plan = self._job_fault_plan()
         injector = (
@@ -1070,10 +1061,9 @@ class ProjectScheduler:
                         self._job_config(job),
                         callee_bounds=job.callee_bounds,
                     ).analyze()
-        summary = FunctionSummary.from_report(
+        return FunctionSummary.from_report(
             unit.name, self._config.partitioner, report
         )
-        return summary, time.perf_counter() - started
 
     # ------------------------------------------------------------------ #
     def _flight_dump(self, trigger: str, detail: str | None = None) -> None:
@@ -1088,7 +1078,7 @@ class ProjectScheduler:
         )
         if record is not None:
             self.flight_dumps.append(record)
-            perf.add("obs.flight.dumps")
+            obs.count("obs.flight.dumps")
 
     def _fired_fault_summary(self, jobs: list[AnalysisJob]) -> str | None:
         """One line describing the faults this run absorbed (None = clean)."""
@@ -1137,16 +1127,14 @@ class ProjectScheduler:
         job.summary = summary
         job.state = JobState.QUARANTINED
         job.error = reason
-        perf.add("project.jobs_quarantined")
+        obs.count("project.jobs_quarantined")
         self._flight_dump(
             f"quarantine-{job.qualified_name}",
             detail=f"{job.qualified_name}: {reason}",
         )
         self._notify(job)
 
-    def _complete(
-        self, job: AnalysisJob, summary: FunctionSummary, seconds: float
-    ) -> None:
+    def _complete(self, job: AnalysisJob, summary: FunctionSummary) -> None:
         self._adopt_identity(job, summary)
         job.summary = summary
         job.state = JobState.DONE
@@ -1154,14 +1142,13 @@ class ProjectScheduler:
             # a degraded result is an artefact of this run's faults; caching
             # it would serve pessimised bounds to later clean runs
             self._cache.put(job.cache_key, summary)
-        perf.add("project.jobs_executed")
-        perf.record_time("project.analyze_function", seconds)
+        obs.count("project.jobs_executed")
         self._notify(job)
 
     def _fail(self, job: AnalysisJob, error: Exception) -> None:
         job.state = JobState.FAILED
         job.error = f"{type(error).__name__}: {error}"
-        perf.add("project.jobs_failed")
+        obs.count("project.jobs_failed")
         self._notify(job)
 
 

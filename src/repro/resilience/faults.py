@@ -41,7 +41,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .. import perf
+from .. import obs
 
 #: the injection points the pipeline exposes; ``service.request`` fires in
 #: the analysis daemon's request dispatch (:mod:`repro.service`) and must
@@ -287,7 +287,7 @@ class FaultInjector:
         for spec in specs:
             if spec.fires_on(hit, self._plan.seed, key):
                 self.fired.append(f"{spec.describe()} (hit {hit}, key {key!r})")
-                perf.add(f"resilience.injected.{site}")
+                obs.count(f"resilience.injected.{site}")
                 return spec
         return None
 

@@ -12,15 +12,16 @@ One call, :func:`run_static_analysis`, bundles the three layers:
 * :mod:`repro.sa.diagnostics` — SA001..SA005 program diagnostics rendered
   into reports and the ``lint`` CLI subcommand.
 
-:mod:`repro.sa.selflint` (SL001..SL004) lints the repo's own sources and is
-wired through ``tests/test_selflint.py`` rather than this orchestrator.
+:mod:`repro.sa.selflint` (SL001, SL002, SL004) lints the repo's own sources
+and is wired through ``tests/test_selflint.py`` rather than this
+orchestrator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import perf
+from .. import obs
 from ..cfg.graph import ControlFlowGraph
 from ..minic.symbols import FunctionSymbolTable
 from .diagnostics import (
@@ -75,13 +76,13 @@ def run_static_analysis(
     cfg: ControlFlowGraph, table: FunctionSymbolTable
 ) -> StaticAnalysisResult:
     """Run feasibility, loop-bound inference and diagnostics on one CFG."""
-    with perf.timed("sa.prefilter"):
+    with obs.stage("sa.prefilter"):
         feasibility = analyze_feasibility(cfg, table)
         loop_bounds = infer_loop_bounds(cfg, table)
         diagnostics = diagnose(cfg, table, feasibility)
-    perf.add("sa.edges_pruned", len(feasibility.infeasible_edges))
-    perf.add("sa.loop_bounds_inferred", len(loop_bounds))
-    perf.add("sa.diagnostics", len(diagnostics))
+    obs.count("sa.edges_pruned", len(feasibility.infeasible_edges))
+    obs.count("sa.loop_bounds_inferred", len(loop_bounds))
+    obs.count("sa.diagnostics", len(diagnostics))
     return StaticAnalysisResult(
         feasibility=feasibility,
         loop_bounds=loop_bounds,

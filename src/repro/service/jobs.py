@@ -23,9 +23,9 @@ properties follow directly:
   :class:`~repro.project.cache.ResultCache`.
 
 Jobs execute on a dedicated worker thread (FIFO), each under its **own**
-:class:`~repro.perf.PerfRegistry` activation (:func:`repro.perf.using_registry`),
-so the perf counters of concurrent requests never bleed into each other;
-the per-job report is served back through the job-status endpoint.
+:class:`~repro.obs.Registry` activation (:func:`repro.obs.using_registry`),
+so the counters of concurrent requests never bleed into each other; the
+per-job report is served back through the job-status endpoint.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .. import obs, perf
+from .. import obs
 from ..pipeline.analyzer import AnalyzerConfig
 from ..project import (
     AnalysisJob,
@@ -262,7 +262,7 @@ class JobQueue:
             if existing is not None and existing.state is not ServiceJobState.FAILED:
                 existing.submissions += 1
                 self.deduplicated += 1
-                perf.add("service.jobs.deduplicated")
+                obs.count("service.jobs.deduplicated")
                 return existing, True
             self._next_id += 1
             job = ServiceJob(
@@ -290,7 +290,7 @@ class JobQueue:
             self._jobs[job.job_id] = job
             self._by_fingerprint[fingerprint] = job
             self._pending.append(job)
-            perf.add("service.jobs.submitted")
+            obs.count("service.jobs.submitted")
             self._wake.notify_all()
             return job, False
 
@@ -352,7 +352,7 @@ class JobQueue:
     def _execute(self, job: ServiceJob) -> None:
         job.state = ServiceJobState.RUNNING
         job.started_at = time.monotonic()
-        registry = perf.PerfRegistry()
+        registry = obs.Registry()
         # the worker's own bounded ring, parented on the submitting HTTP
         # request's span -- request, queueing and scheduler run share one
         # trace_id, and a failing job has a timeline to dump
@@ -365,25 +365,24 @@ class JobQueue:
             )
 
         try:
-            with perf.using_registry(registry), \
+            with obs.using_registry(registry), \
                     obs.using_tracer(tracer, parent), \
-                    obs.span("service.job", job_id=job.job_id):
-                with perf.timed("service.job.execute"):
-                    # query_cache is left at its default: service sessions
-                    # share the warm result cache, so the persistent query
-                    # store (mc verdicts + witnesses) is shared across
-                    # sessions exactly like function summaries are
-                    report = ProjectScheduler(
-                        job.project,
-                        config=job.config,
-                        cache=self._cache,
-                        workers=self._workers,
-                        fault_plan=self._fault_plan,
-                        retry_policy=self._retry_policy,
-                        job_timeout_seconds=self._job_timeout,
-                        pool_restart_budget=self._pool_restart_budget,
-                        progress_callback=on_progress,
-                    ).run()
+                    obs.stage("service.job", job_id=job.job_id):
+                # query_cache is left at its default: service sessions
+                # share the warm result cache, so the persistent query
+                # store (mc verdicts + witnesses) is shared across
+                # sessions exactly like function summaries are
+                report = ProjectScheduler(
+                    job.project,
+                    config=job.config,
+                    cache=self._cache,
+                    workers=self._workers,
+                    fault_plan=self._fault_plan,
+                    retry_policy=self._retry_policy,
+                    job_timeout_seconds=self._job_timeout,
+                    pool_restart_budget=self._pool_restart_budget,
+                    progress_callback=on_progress,
+                ).run()
         except Exception as error:
             from ..resilience import classify_error
 
@@ -398,7 +397,7 @@ class JobQueue:
             job.perf_report = registry.report()
             with self._lock:
                 self.failed += 1
-            perf.add("service.jobs.failed")
+            obs.count("service.jobs.failed")
             job.event.set()
             return
         job.report = report
@@ -409,7 +408,7 @@ class JobQueue:
             self.completed += 1
             if job.session is not None:
                 self._sessions[job.session] = dict(job.function_fingerprints)
-        perf.add("service.jobs.completed")
+        obs.count("service.jobs.completed")
         job.event.set()
 
     # ------------------------------------------------------------------ #

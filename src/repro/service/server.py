@@ -24,7 +24,7 @@ versioned JSON API served by :class:`http.server.ThreadingHTTPServer`:
     Liveness, queue/session/cache statistics, per-endpoint request
     counters, per-request latency aggregates and resilience diagnostics.
 ``GET /v1/metrics``
-    Prometheus text exposition (0.0.4) of the server's aggregate perf
+    Prometheus text exposition (0.0.4) of the server's aggregate obs
     registry -- counters as ``_total``, timers as ``_seconds`` histograms
     backed by the registry's bounded latency buckets -- plus labelled
     per-endpoint/per-status request counts.
@@ -54,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from .. import obs, perf
+from .. import obs
 from ..pipeline.analyzer import AnalyzerConfig
 from ..project import ProjectError, ResultCache
 from ..resilience import (
@@ -131,9 +131,9 @@ class AnalysisServer:
             self.flight = obs.FlightRecorder(
                 self.queue.cache.root / obs.DIAGNOSTICS_DIR
             )
-        #: server-level aggregate registry (per-request registries are
-        #: isolated; their latency/endpoint counts are folded in here)
-        self.registry = perf.PerfRegistry()
+        #: the server's aggregate registry: every request handler records
+        #: into it (jobs run under their own registry, see JobQueue)
+        self.registry = obs.Registry()
         self._stats_lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._responses: dict[int, int] = {}
@@ -199,11 +199,10 @@ class AnalysisServer:
         with self._stats_lock:
             self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
 
-    def count_response(self, status: int, seconds: float) -> None:
+    def count_response(self, status: int) -> None:
         with self._stats_lock:
             self._responses[status] = self._responses.get(status, 0) + 1
-        self.registry.add("service.requests")
-        self.registry.record_time("service.request", seconds)
+        obs.count("service.requests")
 
     def note_injected_request(self) -> None:
         with self._stats_lock:
@@ -321,7 +320,7 @@ class AnalysisServer:
             detail=detail,
         )
         if record is not None:
-            self.registry.add("obs.flight.dumps")
+            obs.count("obs.flight.dumps")
         return record
 
 
@@ -346,6 +345,12 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             if self.verbose:
                 BaseHTTPRequestHandler.log_message(self, format, *args)
 
+        def _send(
+            self, status: int, body: bytes, headers: dict[str, str]
+        ) -> None:
+            """Hold the response; :meth:`_dispatch` writes it once counted."""
+            self._response = (status, body, headers)
+
         def _send_json(
             self,
             status: int,
@@ -357,33 +362,28 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             body = (
                 raw if raw is not None else json.dumps(payload, indent=2) + "\n"
             ).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(body)
+            self._send(
+                status, body, {"Content-Type": "application/json", **(headers or {})}
+            )
 
         def _send_empty(
             self, status: int, headers: dict[str, str] | None = None
         ) -> None:
-            self.send_response(status)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._send(status, b"", headers or {})
 
         def _send_text(
             self, status: int, text: str, content_type: str
         ) -> None:
-            body = text.encode("utf-8")
+            self._send(status, text.encode("utf-8"), {"Content-Type": content_type})
+
+        def _write_response(self) -> None:
+            status, body, headers = self._response
             self.send_response(status)
-            self.send_header("Content-Type", content_type)
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            if self.command != "HEAD":
+            if body and self.command != "HEAD":
                 self.wfile.write(body)
 
         def _send_error_json(
@@ -411,7 +411,6 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
 
         # -------------------------------------------------------------- #
         def _dispatch(self, method: str) -> None:
-            started = time.perf_counter()
             split = urlsplit(self.path)
             path = split.path.rstrip("/") or "/"
             query = parse_qs(split.query)
@@ -420,45 +419,54 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             else:
                 endpoint = path
             server.count_request(f"{method} {endpoint}")
-            status = 500
-            # every request runs under its own registry: whatever the
-            # handling records can never bleed into another request's view
-            request_registry = perf.PerfRegistry()
-            # ... and under its own bounded span ring, so a failing request
-            # has a recent timeline to dump without unbounded growth
+            # every request runs under its own bounded span ring, so a
+            # failing request has a recent timeline to dump without
+            # unbounded growth, and records into the server's registry
             self._tracer = obs.Tracer(max_events=obs.DEFAULT_RING_EVENTS)
             self._trace_id = None
+            self._response = (500, b"", {})
+            with obs.using_tracer(self._tracer), \
+                    obs.using_registry(server.registry):
+                self._handle(method, endpoint, path, query)
+                # counted before the body goes out: a client that reads
+                # the response and asks for /v1/stats sees this request
+                server.count_response(self._response[0])
             try:
-                with obs.using_tracer(self._tracer), obs.span(
+                self._write_response()
+            except BrokenPipeError:
+                pass  # the client went away; nothing left to answer
+
+        def _handle(
+            self,
+            method: str,
+            endpoint: str,
+            path: str,
+            query: dict[str, list[str]],
+        ) -> None:
+            try:
+                with obs.stage(
                     "service.request", method=method, endpoint=endpoint
-                ) as context, perf.using_registry(request_registry):
+                ) as context:
                     self._trace_id = context.trace_id
                     # the chaos site fires before any state changes: an
                     # injected request fault is answered 503 and nothing
                     # (job queue, sessions, cache) has been touched
                     server.check_request_fault(f"{method} {path}")
-                    status = self._route(method, path, query)
+                    self._route(method, path, query)
             except InjectedFault as fault:
                 server.note_injected_request()
-                status = 503
                 self._send_error_json(
                     503, f"injected request fault: {fault}", retryable=True
                 )
             except ServiceError as error:
-                status = error.status
                 self._send_error_json(
                     error.status, str(error), retryable=error.retryable
                 )
             except ProjectError as error:
                 # unparsable/inconsistent sources: permanently bad input
-                status = 422
                 self._send_error_json(422, str(error), retryable=False)
-            except BrokenPipeError:
-                status = 499  # client went away; nothing left to answer
             except Exception as error:  # noqa: BLE001 - mapped to HTTP
-                kind = classify_error(error)
-                if kind == "transient":
-                    status = 503
+                if classify_error(error) == "transient":
                     self._send_error_json(
                         503,
                         f"transient server error: "
@@ -466,14 +474,11 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
                         retryable=True,
                     )
                 else:
-                    status = 500
                     self._send_error_json(
                         500,
                         f"internal error: {type(error).__name__}: {error}",
                         retryable=False,
                     )
-            finally:
-                server.count_response(status, time.perf_counter() - started)
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             self._dispatch("GET")
@@ -487,7 +492,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
         # -------------------------------------------------------------- #
         def _route(
             self, method: str, path: str, query: dict[str, list[str]]
-        ) -> int:
+        ) -> None:
             if not path.startswith(API_PREFIX + "/"):
                 raise ServiceError(404, f"unknown path {path!r} (try /v1/...)")
             route = path[len(API_PREFIX) + 1:]
@@ -498,16 +503,13 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             if method == "GET" and route.startswith("results/"):
                 return self._handle_result(route[len("results/"):])
             if method == "GET" and route == "healthz":
-                self._send_json(200, server.healthz_payload())
-                return 200
+                return self._send_json(200, server.healthz_payload())
             if method == "GET" and route == "stats":
-                self._send_json(200, server.stats_payload())
-                return 200
+                return self._send_json(200, server.stats_payload())
             if method == "GET" and route == "metrics":
-                self._send_text(
+                return self._send_text(
                     200, server.metrics_text(), obs.PROMETHEUS_CONTENT_TYPE
                 )
-                return 200
             raise ServiceError(404, f"no route for {method} {path}")
 
         # -------------------------------------------------------------- #
@@ -524,7 +526,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
                 raise ServiceError(400, "request body must be a JSON object")
             return payload
 
-        def _handle_analyze(self, query: dict[str, list[str]]) -> int:
+        def _handle_analyze(self, query: dict[str, list[str]]) -> None:
             payload = self._read_body()
             units = payload.get("units")
             if not isinstance(units, dict) or not units:
@@ -550,11 +552,9 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             wait = payload.get("wait")
             if wait:
                 self._wait_for(job, float(wait))
-            status = 200 if job.state.is_terminal else 202
             body = job.status_payload()
             body["deduplicated"] = deduplicated
-            self._send_json(status, body)
-            return status
+            self._send_json(200 if job.state.is_terminal else 202, body)
 
         def _wait_for(self, job: ServiceJob, wait_seconds: float) -> None:
             """Block until *job* finishes, bounded by the request deadline."""
@@ -564,7 +564,7 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             while not job.event.is_set() and not deadline.expired():
                 job.event.wait(timeout=0.1)
 
-        def _handle_job(self, job_id: str, query: dict[str, list[str]]) -> int:
+        def _handle_job(self, job_id: str, query: dict[str, list[str]]) -> None:
             job = server.queue.get(job_id)
             if job is None:
                 raise ServiceError(404, f"no job {job_id!r}")
@@ -575,9 +575,8 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
                     raise ServiceError(400, "wait must be a number of seconds")
                 self._wait_for(job, wait_seconds)
             self._send_json(200, job.status_payload())
-            return 200
 
-        def _handle_result(self, fingerprint: str) -> int:
+        def _handle_result(self, fingerprint: str) -> None:
             job = server.queue.result_for(fingerprint)
             if job is None or job.report is None:
                 raise ServiceError(
@@ -591,13 +590,11 @@ def _make_handler(server: AnalysisServer) -> type[BaseHTTPRequestHandler]:
             if candidates:
                 tags = {tag.strip() for tag in candidates.split(",")}
                 if etag in tags or "*" in tags:
-                    perf.add("service.results.not_modified")
-                    self._send_empty(304, headers={"ETag": etag})
-                    return 304
+                    obs.count("service.results.not_modified")
+                    return self._send_empty(304, headers={"ETag": etag})
             self._send_json(
                 200, raw=report_json(job.report), headers={"ETag": etag}
             )
-            return 200
 
     return Handler
 

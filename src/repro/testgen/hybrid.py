@@ -45,6 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .. import obs
 from ..cfg.graph import ControlFlowGraph
 from ..hw.board import EvaluationBoard
 from ..minic.semantic import AnalyzedProgram
@@ -266,69 +267,72 @@ class HybridTestDataGenerator:
         ]
 
     def _random_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
-        generator = RandomTestDataGenerator(self._space, seed=self._options.seed)
-        without_progress = 0
-        produced = 0
-        while (
-            produced < self._options.max_random_vectors
-            and without_progress < self._options.plateau_patterns
-            and not coverage.is_complete()
-        ):
-            vector = generator.generate(1)[0]
-            produced += 1
-            suite.random_vectors_used = produced
-            run = self._board.run(self._function, vector)
-            if coverage.record_run(run):
-                without_progress = 0
-            else:
-                without_progress += 1
+        with obs.stage("testgen.random"):
+            generator = RandomTestDataGenerator(self._space, seed=self._options.seed)
+            without_progress = 0
+            produced = 0
+            while (
+                produced < self._options.max_random_vectors
+                and without_progress < self._options.plateau_patterns
+                and not coverage.is_complete()
+            ):
+                vector = generator.generate(1)[0]
+                produced += 1
+                suite.random_vectors_used = produced
+                run = self._board.run(self._function, vector)
+                if coverage.record_run(run):
+                    without_progress = 0
+                else:
+                    without_progress += 1
 
     def _model_checking_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
-        targets = self._open_targets(coverage, suite)
-        if not targets:
-            return
-        generator = ModelCheckingTestDataGenerator(
-            self._analyzed, self._function, self._options.model_checking
-        )
-        # one batch for every remaining target: witnesses found for one
-        # target answer its siblings
-        outcomes = generator.generate_for_targets(targets)
-        suite.model_checking_queries = generator.statistics.queries
-        suite.budget_exhausted_queries = generator.statistics.budget_exhausted
-        suite.engine_fault_queries = generator.statistics.engine_faults
-        suite.mc_diagnostics = generator.query_diagnostics()
-        for outcome in outcomes:
-            if outcome.status is TargetStatus.COVERED and outcome.vector is not None:
-                # replay the witness: only the board run makes the target
-                # covered (and measured by the campaign later)
-                vector = self._space.clamp(outcome.vector)
-                suite.add_vector(vector)
-                coverage.record_run(self._board.run(self._function, vector))
-        for outcome in outcomes:
-            if (
-                outcome.status is TargetStatus.INFEASIBLE
-                and coverage.covering_vector(outcome.target) is None
-            ):
-                suite.reports.append(
-                    TargetReport(target=outcome.target, source=CoverageSource.INFEASIBLE)
-                )
-        # UNKNOWN, BUDGET_EXHAUSTED and ENGINE_FAULT targets (and a witness
-        # the board did not follow) stay open for the genetic search
+        with obs.stage("testgen.mc"):
+            targets = self._open_targets(coverage, suite)
+            if not targets:
+                return
+            generator = ModelCheckingTestDataGenerator(
+                self._analyzed, self._function, self._options.model_checking
+            )
+            # one batch for every remaining target: witnesses found for one
+            # target answer its siblings
+            outcomes = generator.generate_for_targets(targets)
+            suite.model_checking_queries = generator.statistics.queries
+            suite.budget_exhausted_queries = generator.statistics.budget_exhausted
+            suite.engine_fault_queries = generator.statistics.engine_faults
+            suite.mc_diagnostics = generator.query_diagnostics()
+            for outcome in outcomes:
+                if outcome.status is TargetStatus.COVERED and outcome.vector is not None:
+                    # replay the witness: only the board run makes the target
+                    # covered (and measured by the campaign later)
+                    vector = self._space.clamp(outcome.vector)
+                    suite.add_vector(vector)
+                    coverage.record_run(self._board.run(self._function, vector))
+            for outcome in outcomes:
+                if (
+                    outcome.status is TargetStatus.INFEASIBLE
+                    and coverage.covering_vector(outcome.target) is None
+                ):
+                    suite.reports.append(
+                        TargetReport(target=outcome.target, source=CoverageSource.INFEASIBLE)
+                    )
+            # UNKNOWN, BUDGET_EXHAUSTED and ENGINE_FAULT targets (and a witness
+            # the board did not follow) stay open for the genetic search
 
     def _genetic_phase(self, coverage: CoverageTracker, suite: TestSuite) -> None:
-        targets = self._open_targets(coverage, suite)
-        if not targets:
-            return
-        generator = GeneticTestDataGenerator(
-            self._board, self._function, self._space, self._options.genetic
-        )
-        # the population starts from every vector so far, MC witnesses
-        # included: they already reach deep into the function
-        seeds = [dict(vector) for vector in suite.vectors]
-        try:
-            for target in targets:
-                if coverage.covering_vector(target) is not None:
-                    continue
-                generator.search(target, coverage=coverage, seed_vectors=seeds)
-        finally:
-            suite.genetic_evaluations = generator.statistics.evaluations
+        with obs.stage("testgen.genetic"):
+            targets = self._open_targets(coverage, suite)
+            if not targets:
+                return
+            generator = GeneticTestDataGenerator(
+                self._board, self._function, self._space, self._options.genetic
+            )
+            # the population starts from every vector so far, MC witnesses
+            # included: they already reach deep into the function
+            seeds = [dict(vector) for vector in suite.vectors]
+            try:
+                for target in targets:
+                    if coverage.covering_vector(target) is not None:
+                        continue
+                    generator.search(target, coverage=coverage, seed_vectors=seeds)
+            finally:
+                suite.genetic_evaluations = generator.statistics.evaluations

@@ -8,7 +8,7 @@ The invariants under test are the tentpole promises of the layer:
 * spans form one connected tree under a single ``trace_id``, including
   across the process-pool boundary (the serialisable ``SpanContext``
   handshake);
-* tracing -- disabled *or* recording -- never changes an analysis
+* tracing never changes an analysis
   result: ``result_payload()`` stays bit-identical to an untraced run;
 * ``GET /v1/metrics`` serves Prometheus text with histogram timers;
 * quarantines, fired faults and server 5xx responses leave a flight
@@ -24,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.pipeline import AnalyzerConfig
 from repro.project import Project, ProjectScheduler, ResultCache
 from repro.resilience import FaultPlan
@@ -67,24 +67,20 @@ def payloads(report) -> list[dict]:
 # ---------------------------------------------------------------------- #
 def test_span_is_noop_without_tracer():
     assert obs.active_tracer() is None
-    with obs.span("unit.test", answer=42) as context:
-        assert context is None
-    assert obs.current_context() is None
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = obs.Tracer(enabled=False)
-    with obs.using_tracer(tracer):
-        with obs.span("unit.test") as context:
+    registry = obs.Registry()
+    with obs.using_registry(registry):
+        with obs.stage("unit.test", answer=42) as context:
             assert context is None
-    assert len(tracer) == 0
+    assert obs.current_context() is None
+    # untraced, a stage is only its timer
+    assert registry.timer("unit.test").calls == 1
 
 
 def test_nested_spans_share_a_trace_and_link_parents():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
-        with obs.span("unit.outer") as outer:
-            with obs.span("unit.inner", depth=1) as inner:
+        with obs.stage("unit.outer") as outer:
+            with obs.stage("unit.inner", depth=1) as inner:
                 assert inner.trace_id == outer.trace_id
     events = {event["name"]: event for event in tracer.events()}
     assert events["unit.outer"]["parent_id"] is None
@@ -98,7 +94,7 @@ def test_exception_is_recorded_on_the_span():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
         with pytest.raises(ValueError):
-            with obs.span("unit.boom"):
+            with obs.stage("unit.boom"):
                 raise ValueError("expected")
     (event,) = tracer.events()
     assert event["error"]
@@ -108,7 +104,7 @@ def test_ring_tracer_keeps_only_the_newest_events():
     tracer = obs.Tracer(max_events=4)
     with obs.using_tracer(tracer):
         for index in range(10):
-            with obs.span("unit.tick", index=index):
+            with obs.stage("unit.tick", index=index):
                 pass
     assert len(tracer) == 4
     kept = [event["attrs"]["index"] for event in tracer.events()]
@@ -125,13 +121,13 @@ def test_span_context_roundtrip_and_rejection():
 def test_merge_reattaches_cross_process_events():
     parent = obs.Tracer()
     with obs.using_tracer(parent):
-        with obs.span("unit.root") as root:
+        with obs.stage("unit.root") as root:
             handshake = root.to_dict()
     # simulate the pool worker: a private tracer seeded from the wire dict
     worker = obs.Tracer()
     seed = obs.SpanContext.from_dict(handshake)
     with obs.using_tracer(worker, seed):
-        with obs.span("unit.remote") as remote:
+        with obs.stage("unit.remote") as remote:
             assert remote.trace_id == root.trace_id
     parent.merge(worker.events())
     summary = obs.summarize(parent.events())
@@ -143,8 +139,8 @@ def test_merge_reattaches_cross_process_events():
 def test_jsonl_and_chrome_exports_roundtrip(tmp_path):
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
-        with obs.span("unit.outer"):
-            with obs.span("unit.inner"):
+        with obs.stage("unit.outer"):
+            with obs.stage("unit.inner"):
                 pass
     jsonl = tmp_path / "trace.jsonl"
     chrome = tmp_path / "trace.json"
@@ -169,10 +165,10 @@ def test_jsonl_and_chrome_exports_roundtrip(tmp_path):
 # metrics exposition
 # ---------------------------------------------------------------------- #
 def test_prometheus_text_renders_counters_and_histograms():
-    registry = perf.PerfRegistry()
-    with perf.using_registry(registry):
-        perf.add("unit.widgets", 3)
-        with perf.timed("unit.step"):
+    registry = obs.Registry()
+    with obs.using_registry(registry):
+        obs.count("unit.widgets", 3)
+        with obs.stage("unit.step"):
             pass
     text = obs.prometheus_text(registry.report())
     assert "repro_unit_widgets_total 3" in text
@@ -185,11 +181,11 @@ def test_prometheus_text_renders_counters_and_histograms():
         for line in text.splitlines()
         if line.startswith("repro_unit_step_seconds_bucket")
     ]
-    assert len(buckets) == len(perf.HISTOGRAM_BOUNDS) + 1
+    assert len(buckets) == len(obs.HISTOGRAM_BOUNDS) + 1
 
 
 def test_prometheus_text_extra_counters_with_labels():
-    registry = perf.PerfRegistry()
+    registry = obs.Registry()
     text = obs.prometheus_text(
         registry.report(),
         extra_counters=[
@@ -210,7 +206,7 @@ def test_prometheus_text_extra_counters_with_labels():
 def test_flight_recorder_dumps_the_span_ring(tmp_path):
     tracer = obs.Tracer(max_events=8)
     with obs.using_tracer(tracer):
-        with obs.span("unit.work"):
+        with obs.stage("unit.work"):
             pass
     recorder = obs.FlightRecorder(tmp_path / obs.DIAGNOSTICS_DIR)
     record = recorder.dump("unit-test", tracer=tracer, detail="boom")
@@ -268,12 +264,8 @@ def test_tracing_on_off_results_are_bit_identical():
         tracer = obs.Tracer()
         with obs.using_tracer(tracer):
             traced = ProjectScheduler(project, config=quick_config()).run()
-        with obs.using_tracer(obs.Tracer(enabled=False)):
-            disabled = ProjectScheduler(project, config=quick_config()).run()
         assert payloads(untraced) == payloads(traced)
-        assert payloads(untraced) == payloads(disabled)
         assert untraced.trace_id is None
-        assert disabled.trace_id is None
         assert traced.trace_id is not None
         # the report's only delta is its observability section
         assert traced.to_dict()["observability"]["trace_spans"] == len(tracer)
@@ -288,12 +280,57 @@ def test_analyzer_and_mc_stages_emit_spans():
     tracer = obs.Tracer()
     with obs.using_tracer(tracer):
         ProjectScheduler(Project.from_sources(TINY), config=quick_config()).run()
-    names = {event["name"] for event in tracer.events()}
+    events = tracer.events()
+    names = {event["name"] for event in events}
     # mc.plan/mc.solve only appear when the bound needs model checking,
     # which the tiny workload does not -- the call-chain project traced in
     # test_tracing_on_off_results_are_bit_identical does
     assert {"analyze.partition", "analyze.testgen", "analyze.measure",
             "analyze.schema"} <= names
+    # the three test-generation phases are spans of their own, in order,
+    # under the analyze.testgen span
+    by_id = {event["span_id"]: event for event in events}
+    phases = [
+        event for event in events
+        if event["name"] in ("testgen.random", "testgen.mc", "testgen.genetic")
+    ]
+    assert [event["name"] for event in phases] == [
+        "testgen.random", "testgen.mc", "testgen.genetic",
+    ]
+    for event in phases:
+        assert by_id[event["parent_id"]]["name"] == "analyze.testgen"
+
+
+@pytest.mark.project
+def test_pool_workers_report_their_counters():
+    # the call-chain project has two-job waves, so workers=2 runs them on
+    # the pool; the workers' counters must reach the caller's registry
+    project = Project.from_sources(
+        generate_call_chain_workload(seed=2005).sources
+    )
+    counts = []
+    for workers in (1, 2):
+        registry = obs.Registry()
+        with obs.using_registry(registry):
+            ProjectScheduler(
+                project, config=quick_config(), workers=workers
+            ).run()
+        counts.append(
+            {
+                name: registry.counter(name)
+                for name in (
+                    "mc.query.planned",
+                    "sa.edges_pruned",
+                    "ranges.solve_calls",
+                    "project.jobs_executed",
+                )
+            }
+        )
+        assert registry.timer("project.job").calls == 9
+    serial, pooled = counts
+    assert serial["project.jobs_executed"] == 9
+    assert serial["mc.query.planned"] > 0
+    assert pooled == serial
 
 
 # ---------------------------------------------------------------------- #

@@ -37,7 +37,7 @@ from repro.analysis.bitset import VariableInterner
 from repro.analysis.reference import liveness_problem, reaching_problem
 from repro.cfg import build_cfg
 from repro.minic import parse_and_analyze
-from repro.perf import PerfRegistry
+from repro import obs
 
 
 # --------------------------------------------------------------------------- #
@@ -310,34 +310,26 @@ def test_backward_rpo_orders_successors_first():
 
 
 # --------------------------------------------------------------------------- #
-# perf instrumentation subsystem
+# the obs registry (counters and stage timers)
 # --------------------------------------------------------------------------- #
 class TestPerfRegistry:
     def test_counters_accumulate(self):
-        registry = PerfRegistry()
+        registry = obs.Registry()
         registry.add("work")
         registry.add("work", 41)
         assert registry.counter("work") == 42
         assert registry.counter("missing") == 0
 
     def test_timed_context_manager_records(self):
-        registry = PerfRegistry()
-        with registry.timed("phase"):
+        registry = obs.Registry()
+        with obs.using_registry(registry), obs.stage("phase"):
             pass
         stat = registry.timer("phase")
         assert stat is not None and stat.calls == 1
         assert stat.total_seconds >= 0.0
 
-    def test_disabled_registry_is_a_no_op(self):
-        registry = PerfRegistry(enabled=False)
-        registry.add("work")
-        with registry.timed("phase"):
-            pass
-        assert registry.counter("work") == 0
-        assert registry.timer("phase") is None
-
     def test_reset_clears_everything(self):
-        registry = PerfRegistry()
+        registry = obs.Registry()
         registry.add("work")
         registry.record_time("phase", 0.5)
         registry.reset()
@@ -345,13 +337,11 @@ class TestPerfRegistry:
         assert registry.report()["timers"] == {}
 
     def test_solver_records_into_global_registry(self):
-        from repro import perf
-
-        perf.reset()
+        obs.reset()
         cfg = random_cfg(3)
         block_liveness(cfg)
         reaching_definitions(cfg)
-        report = perf.report()
+        report = obs.report()
         assert report["counters"]["liveness.bitset_runs"] >= 1
         assert report["counters"]["reaching.bitset_runs"] >= 1
         assert "liveness.bitset" in report["timers"]

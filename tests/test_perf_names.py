@@ -1,15 +1,13 @@
 """Instrumentation name-drift lint.
 
-Sweeps ``src/`` for the literal names passed to ``perf.add(...)``,
-``perf.record_time(...)``, ``perf.timed(...)`` (on the module or on a
-registry object) and ``obs.span(...)``, and compares them — in both
-directions — against the checked-in vocabulary in
-``src/repro/perf/NAMES.md``.  A new instrumentation site must be listed
-there; a listed name whose last call site disappeared must be removed.
+Sweeps ``src/`` for the literal names passed to ``obs.stage(...)`` and
+``obs.count(...)`` and compares them — in both directions — against the
+checked-in vocabulary in ``src/repro/obs/NAMES.md``.  A new instrumentation
+site must be listed there; a listed name whose last call site disappeared
+must be removed.
 
-Dynamically composed names (f-strings such as
-``f"resilience.injected.{site}"``) contain no string literal at the call
-site and are intentionally outside the sweep.
+A counter name built by an f-string is swept as its literal template (for
+example ``mc.query.{field}``), so NAMES.md lists the template itself.
 """
 
 from __future__ import annotations
@@ -20,31 +18,30 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-NAMES_MD = SRC / "repro" / "perf" / "NAMES.md"
+NAMES_MD = SRC / "repro" / "obs" / "NAMES.md"
 
-#: literal first argument of a perf counter/timer call, whether through the
-#: ``perf`` module facade or a registry object (``request_registry.add``...)
-PERF_CALL = re.compile(r'(?:\bperf|registry)\.(?:add|record_time|timed)\(\s*"([^"]+)"')
+#: literal first argument of a counter call (an f-string keeps its template)
+COUNT_CALL = re.compile(r'\bobs\.count\(\s*f?"([^"]+)"')
 
-#: literal first argument of a trace-span context manager
-SPAN_CALL = re.compile(r'\bobs\.span\(\s*"([^"]+)"')
+#: literal first argument of a stage context manager
+STAGE_CALL = re.compile(r'\bobs\.stage\(\s*"([^"]+)"')
 
-PERF_SECTION = "Perf counters and timers"
-SPAN_SECTION = "Trace spans"
+COUNTER_SECTION = "Counters"
+STAGE_SECTION = "Stages"
 
 
 def _swept_names() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """(perf, span) name -> set of emitting modules, swept from ``src/``."""
-    perf_names: dict[str, set[str]] = {}
-    span_names: dict[str, set[str]] = {}
+    """(counter, stage) name -> set of emitting modules, swept from ``src/``."""
+    counter_names: dict[str, set[str]] = {}
+    stage_names: dict[str, set[str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         module = str(path.relative_to(SRC))
-        for match in PERF_CALL.finditer(text):
-            perf_names.setdefault(match.group(1), set()).add(module)
-        for match in SPAN_CALL.finditer(text):
-            span_names.setdefault(match.group(1), set()).add(module)
-    return perf_names, span_names
+        for match in COUNT_CALL.finditer(text):
+            counter_names.setdefault(match.group(1), set()).add(module)
+        for match in STAGE_CALL.finditer(text):
+            stage_names.setdefault(match.group(1), set()).add(module)
+    return counter_names, stage_names
 
 
 def _registered_names() -> dict[str, set[str]]:
@@ -60,62 +57,52 @@ def _registered_names() -> dict[str, set[str]]:
     return sections
 
 
+def _assert_match(swept: dict[str, set[str]], section: str) -> None:
+    registered = _registered_names()[section]
+    unregistered = {
+        name: sorted(modules)
+        for name, modules in swept.items()
+        if name not in registered
+    }
+    assert not unregistered, (
+        "names emitted by src/ but missing from NAMES.md "
+        f"(add them to the '{section}' section): {unregistered}"
+    )
+    stale = registered - set(swept)
+    assert not stale, (
+        f"'{section}' names listed in NAMES.md with no remaining literal "
+        f"call site in src/ (remove them): {sorted(stale)}"
+    )
+
+
 @pytest.mark.obs
 def test_names_md_exists_with_both_sections():
     sections = _registered_names()
-    assert PERF_SECTION in sections, f"NAMES.md lost its '{PERF_SECTION}' section"
-    assert SPAN_SECTION in sections, f"NAMES.md lost its '{SPAN_SECTION}' section"
-    assert sections[PERF_SECTION], "perf section of NAMES.md is empty"
-    assert sections[SPAN_SECTION], "span section of NAMES.md is empty"
+    for section in (STAGE_SECTION, COUNTER_SECTION):
+        assert section in sections, f"NAMES.md lost its '{section}' section"
+        assert sections[section], f"'{section}' section of NAMES.md is empty"
 
 
 @pytest.mark.obs
 def test_perf_names_match_registry():
+    """Every ``obs.count`` name is a listed counter, and vice versa."""
     swept, _ = _swept_names()
-    registered = _registered_names()[PERF_SECTION]
-    unregistered = {
-        name: sorted(modules)
-        for name, modules in swept.items()
-        if name not in registered
-    }
-    assert not unregistered, (
-        "perf names emitted by src/ but missing from NAMES.md "
-        f"(add them to the '{PERF_SECTION}' section): {unregistered}"
-    )
-    stale = registered - set(swept)
-    assert not stale, (
-        "perf names listed in NAMES.md with no remaining literal call "
-        f"site in src/ (remove them): {sorted(stale)}"
-    )
+    _assert_match(swept, COUNTER_SECTION)
 
 
 @pytest.mark.obs
 def test_span_names_match_registry():
+    """Every ``obs.stage`` name is a listed stage, and vice versa."""
     _, swept = _swept_names()
-    registered = _registered_names()[SPAN_SECTION]
-    unregistered = {
-        name: sorted(modules)
-        for name, modules in swept.items()
-        if name not in registered
-    }
-    assert not unregistered, (
-        "span names emitted by src/ but missing from NAMES.md "
-        f"(add them to the '{SPAN_SECTION}' section): {unregistered}"
-    )
-    stale = registered - set(swept)
-    assert not stale, (
-        "span names listed in NAMES.md with no remaining obs.span call "
-        f"site in src/ (remove them): {sorted(stale)}"
-    )
+    _assert_match(swept, STAGE_SECTION)
 
 
 @pytest.mark.obs
 def test_names_follow_convention():
-    """Dot-separated, lower-case, subsystem-prefixed — both vocabularies."""
+    """Dot-separated, lower-case, subsystem-prefixed; ``{field}`` templates."""
     sections = _registered_names()
-    for section in (PERF_SECTION, SPAN_SECTION):
+    for section in (STAGE_SECTION, COUNTER_SECTION):
         for name in sections[section]:
-            assert re.fullmatch(r"[a-z0-9_]+(\.[a-z0-9_]+)+", name), (
-                f"{section}: {name!r} violates the dotted lower-case "
-                "naming convention"
-            )
+            assert re.fullmatch(
+                r"[a-z0-9_]+(\.([a-z0-9_]+|\{[a-z_]+\}))+", name
+            ), f"{section}: {name!r} violates the dotted lower-case convention"

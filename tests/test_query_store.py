@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.mc import (
     GoalBuilder,
     QueryBudget,
@@ -384,8 +384,8 @@ class TestSchedulerIntegration:
 
         # run 2 misses the *function* cache (fresh directory) but shares
         # the query store: every reachability query must come from disk
-        registry = perf.PerfRegistry()
-        with perf.using_registry(registry):
+        registry = obs.Registry()
+        with obs.using_registry(registry):
             cold_equivalent = ProjectScheduler(
                 small_project,
                 config=quick_config(),

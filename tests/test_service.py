@@ -139,6 +139,15 @@ def test_result_etag_conditional_get(server, client):
     assert code == 200 and body
 
 
+def test_not_modified_results_reach_the_metrics(server, client):
+    fingerprint = client.analyze(TINY, wait=60)["fingerprint"]
+    code, etag, _ = client.result(fingerprint)
+    assert code == 200
+    code, _, _ = client.result(fingerprint, etag=etag)
+    assert code == 304
+    assert "repro_service_results_not_modified_total 1" in client.metrics()
+
+
 def test_unknown_job_and_result_are_404(server, client):
     with pytest.raises(ServiceClientError) as excinfo:
         client.job("job-999")
