@@ -523,8 +523,8 @@ class CallGraph:
     def closure(self, selected: Iterable[str]) -> list[ProjectFunction]:
         """The selected functions plus their transitive resolved callees.
 
-        ``selected`` holds plain function names (matched across every unit,
-        like ``Project.functions(only=...)``); unknown names raise
+        ``selected`` holds plain function names (matched across every
+        unit); unknown names raise
         :class:`ProjectError`.  The result is sorted by (unit, name), the
         project's canonical function order.
         """

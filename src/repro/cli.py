@@ -25,7 +25,7 @@ and tracing tooling:
     transitive fingerprints.  ``--demo`` runs the synthetic multi-function
     workload, ``--demo-calls`` the call-chain/diamond workload;
     ``--call-graph`` prints the resolved call graph with waves and
-    diagnostics, ``--no-interprocedural`` restores the flat PR 2 behaviour.
+    diagnostics.
 
 ``repro-wcet project ... --trace out.json``
     additionally record every request/wave/job/analysis-stage span of the
@@ -287,7 +287,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
         cache=cache,
         workers=args.jobs,
         only=args.functions,
-        interprocedural=not args.no_interprocedural,
         unknown_call_cycles=args.unknown_call_cycles,
         fault_plan=plan,
         retry_policy=RetryPolicy(
@@ -297,17 +296,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
         pool_restart_budget=args.pool_restarts,
         query_cache=query_cache,
     )
-    if args.no_interprocedural:
-        for flag, value in (
-            ("--call-graph", args.call_graph),
-            ("--unknown-call-cycles", args.unknown_call_cycles is not None),
-        ):
-            if value:
-                print(
-                    f"note: {flag} has no effect with --no-interprocedural "
-                    "(no call graph is built in flat mode)",
-                    file=sys.stderr,
-                )
     if args.trace_output:
         from . import obs
 
@@ -327,7 +315,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
         )
     else:
         report = scheduler.run()
-    if args.call_graph and scheduler.callgraph is not None:
+    if args.call_graph:
         print(scheduler.callgraph.to_text())
     print(report.to_text())
     if args.json_output:
@@ -573,11 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument(
         "--call-graph", action="store_true",
         help="also print the resolved call graph (waves, cycles, diagnostics)",
-    )
-    project.add_argument(
-        "--no-interprocedural", action="store_true",
-        help="disable call-graph scheduling and callee summary reuse "
-        "(flat job graph, content-only cache keys)",
     )
     project.add_argument(
         "--unknown-call-cycles", type=int, default=None, metavar="CYCLES",

@@ -19,18 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..transsys.translate import TranslationResult, edge_label
-from .explicit import ExplicitEngineOptions
 from .property import GoalBuilder, ReachabilityGoal
 from .query import EngineKind, QueryBudget, QueryEngine, QueryEngineOptions
 from .result import CheckResult, Verdict
-from .symbolic import SymbolicEngineOptions
 
 
 @dataclass
 class ModelCheckerOptions:
     engine: EngineKind = EngineKind.AUTO
-    symbolic: SymbolicEngineOptions | None = None
-    explicit: ExplicitEngineOptions | None = None
     #: query budget (None = no external budget, engine defaults apply)
     budget: QueryBudget | None = None
     #: per-goal cone-of-influence slicing (off by default: the raw facade
@@ -57,8 +53,6 @@ class ModelChecker:
                 engine=self._options.engine,
                 budget=self._options.budget,
                 slicing=self._options.slicing,
-                symbolic=self._options.symbolic,
-                explicit=self._options.explicit,
                 prefilter=self._options.prefilter,
             ),
         )

@@ -106,7 +106,6 @@ class QueryEngineOptions:
     #: None = no external budget (the engines' own defaults still apply)
     budget: QueryBudget | None = None
     slicing: bool = True
-    symbolic: SymbolicEngineOptions | None = None
     explicit: ExplicitEngineOptions | None = None
     #: optional sound static prefilter (duck-typed, see
     #: :class:`repro.sa.feasibility.StaticPrefilter`): anything exposing
@@ -561,7 +560,7 @@ class QueryEngine:
                     else min(limit, remaining_time),
                 )
             return ExplicitStateEngine(model.system, options)
-        options = self._options.symbolic or SymbolicEngineOptions()
+        options = SymbolicEngineOptions()
         if budget is not None and budget.max_steps is not None:
             options = replace(
                 options,

@@ -53,9 +53,6 @@ class SymbolicEngineOptions:
     #: the query engine maps a :class:`~repro.mc.query.QueryBudget`'s
     #: solver-call limit onto this knob
     max_solver_calls: int | None = None
-    #: skip solver calls for guards while exploring and only solve at the goal
-    #: (faster for huge models, may explore some infeasible prefixes)
-    eager_guard_checks: bool = True
 
 
 @dataclass
@@ -170,11 +167,10 @@ class SymbolicEngine:
                 if guard_value is None:
                     symbolic_guard = substitute(transition.guard, state.environment)
                     new_constraints = state.constraints + [Constraint(symbolic_guard)]
-                    if self._options.eager_guard_checks:
-                        feasible, solver_peak = self._satisfiable(new_constraints, stats)
-                        solver_stats_peak = max(solver_stats_peak, solver_peak)
-                        if not feasible:
-                            continue
+                    feasible, solver_peak = self._satisfiable(new_constraints, stats)
+                    solver_stats_peak = max(solver_stats_peak, solver_peak)
+                    if not feasible:
+                        continue
                 new_env = dict(state.environment)
                 if transition.updates:
                     snapshot = state.environment

@@ -74,6 +74,19 @@ CACHE_SCHEMA = "repro-project-cache/7"
 CORRUPT_DIR = "corrupt"
 
 
+#: the per-instance I/O counters :meth:`ResultCache.absorb` folds together
+_IO_COUNTERS = (
+    "hits",
+    "misses",
+    "query_hits",
+    "query_misses",
+    "write_failures",
+    "read_failures",
+    "quarantined",
+    "schema_mismatches",
+)
+
+
 class ResultCache:
     """Content-addressed store of :class:`FunctionSummary` results."""
 
@@ -94,7 +107,8 @@ class ResultCache:
         self.schema_mismatches = 0
         #: warn-once diagnostics (first write failure, quarantines, ...)
         self.diagnostics: list[str] = []
-        self._warned_write_failure = False
+        #: the warn-once diagnostic of the first write failure (None = none)
+        self._write_warning: str | None = None
         #: injector for the ``cache.read`` / ``cache.write`` fault sites
         #: (attached by the scheduler or CLI in chaos runs)
         self.fault_injector: FaultInjector | None = None
@@ -279,12 +293,12 @@ class ResultCache:
             self.write_failures += 1
             obs.count("project.cache.write_failures")
             obs.count("project.cache.store_failures")
-            if not self._warned_write_failure:
-                self._warned_write_failure = True
-                self.diagnostics.append(
+            if self._write_warning is None:
+                self._write_warning = (
                     f"cache writes are failing (first: {key[:12]}…: {error}); "
                     "results are kept in memory but will not be reused"
                 )
+                self.diagnostics.append(self._write_warning)
             return False
         obs.count("project.cache.stores")
         return True
@@ -424,6 +438,31 @@ class ResultCache:
             "schema_mismatches": self.schema_mismatches,
             "quarantined": self.quarantined,
         }
+
+    def io_counts(self) -> dict[str, object]:
+        """This instance's I/O counters and diagnostics, for :meth:`absorb`."""
+        counts: dict[str, object] = {
+            name: getattr(self, name) for name in _IO_COUNTERS
+        }
+        counts["diagnostics"] = list(self.diagnostics)
+        counts["write_warning"] = self._write_warning
+        return counts
+
+    def absorb(self, counts: dict[str, object]) -> None:
+        """Fold another instance's :meth:`io_counts` over the same store in.
+
+        Scheduler attempts open their own instance on this cache's root;
+        their counts land here, and the write-failure warning stays
+        warn-once across all of them.
+        """
+        for name in _IO_COUNTERS:
+            setattr(self, name, getattr(self, name) + counts[name])
+        for line in counts["diagnostics"]:
+            if line == counts["write_warning"]:
+                if self._write_warning is not None:
+                    continue
+                self._write_warning = line
+            self.diagnostics.append(line)
 
     # ------------------------------------------------------------------ #
     def _quarantine(self, path: Path, key: str, reason: str) -> None:

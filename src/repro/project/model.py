@@ -182,35 +182,17 @@ class Project:
         except KeyError as exc:
             raise ProjectError(f"no unit named {name!r}") from exc
 
-    def functions(
-        self, only: Iterable[str] | None = None
-    ) -> list[ProjectFunction]:
-        """Every analyzable function, sorted by (unit, function name).
-
-        ``only`` optionally restricts the selection to the given function
-        names (matched across all units); unknown names raise
-        :class:`ProjectError` so typos do not silently analyse nothing.
-        """
-        wanted = set(only) if only is not None else None
-        selected: list[ProjectFunction] = []
-        for unit in self.units:
-            for name in unit.function_names():
-                if wanted is not None and name not in wanted:
-                    continue
-                selected.append(
-                    ProjectFunction(
-                        unit=unit.name,
-                        name=name,
-                        fingerprint=function_fingerprint(unit.analyzed, name),
-                    )
-                )
-        if wanted is not None:
-            found = {function.name for function in selected}
-            missing = wanted - found
-            if missing:
-                raise ProjectError(
-                    f"no function named {', '.join(sorted(missing))} in the project"
-                )
+    def functions(self) -> list[ProjectFunction]:
+        """Every analyzable function, sorted by (unit, function name)."""
+        selected = [
+            ProjectFunction(
+                unit=unit.name,
+                name=name,
+                fingerprint=function_fingerprint(unit.analyzed, name),
+            )
+            for unit in self.units
+            for name in unit.function_names()
+        ]
         if not selected:
             raise ProjectError("project defines no analyzable functions")
         return selected

@@ -1,17 +1,17 @@
 """Job-graph scheduler driving :class:`WcetAnalyzer` over a whole project.
 
-Every analyzable function becomes one :class:`AnalysisJob`.  In the default
-interprocedural mode the scheduler builds the project call graph
-(:mod:`repro.callgraph`), orders the jobs into topological *dependency
-waves* -- callees before callers -- and feeds each completed callee's WCET
-bound into its callers as a :class:`~repro.callgraph.summaries.CalleeSummary`:
-the caller's measurement charges every summarised call site
-``call_overhead + callee bound`` instead of guessing a library cost.  Calls
-that cannot be summarised (recursion cycles, ambiguous names) are charged
-the pessimistic unknown-call cost, and callees whose stubbing would be
-unsound -- the caller uses their return value or reads globals they write
--- are inlined on the caller's board instead; both cases are reported as
-call-graph diagnostics.
+Every analyzable function becomes one :class:`AnalysisJob`.  The scheduler
+builds the project call graph (:mod:`repro.callgraph`), orders the jobs
+into topological *dependency waves* -- callees before callers -- and feeds
+each completed callee's WCET bound into its callers as a
+:class:`~repro.callgraph.summaries.CalleeSummary`: the caller's measurement
+charges every summarised call site ``call_overhead + callee bound``
+instead of guessing a library cost.  Calls that cannot be summarised
+(recursion cycles, ambiguous names) are charged the pessimistic
+unknown-call cost, and callees whose stubbing would be unsound -- the
+caller uses their return value or reads globals they write -- are inlined
+on the caller's board instead; both cases are reported as call-graph
+diagnostics.
 
 Result caching keys on *transitive fingerprints* (the function's content
 hash closed over its resolved callees), so editing a leaf callee invalidates
@@ -20,15 +20,27 @@ warm.
 
 Within a wave the scheduler first probes the persistent result cache
 (:mod:`repro.project.cache`); the remaining jobs are executed either
-serially in-process or on a ``concurrent.futures.ProcessPoolExecutor``.  The
-analysis is fully seeded (random, genetic and model-checking phases all
-derive from the :class:`~repro.pipeline.analyzer.AnalyzerConfig`) and callee
-bounds are fixed before a wave starts, so serial and parallel runs produce
-bit-identical :class:`~repro.project.report.FunctionSummary` payloads -- the
-scheduler only changes *where* a job runs, never *what* it computes.  If the
-process pool cannot be created or dies (sandboxed environments, pickling
-restrictions), the scheduler falls back to serial execution and records the
-reason in ``ProjectReport.fallback_reason`` and the obs registry
+serially in-process or on a ``concurrent.futures.ProcessPoolExecutor``.
+**One attempt path:** :func:`run_attempt` is the only code that runs a
+job, wherever it runs -- in-process it gets the already-parsed unit, on
+the pool the source text -- and :meth:`ProjectScheduler._settle` is the
+only code that folds an attempt's outcome (summary, spans, counters,
+query-store replay failures, query-cache I/O counts) into the run and
+decides complete / retry / quarantine / fail.  Each attempt evaluates its
+own fault sites against fresh injectors: the job-internal sites
+(``mc.solve``, ``interp.step``) and the ``cache.read`` / ``cache.write``
+sites of its query-store I/O count hits *per attempt*, while the
+scheduler's own summary-cache probes and writes and ``pool.submit`` count
+hits per run.  The analysis is fully seeded (random, genetic and
+model-checking phases all derive from the
+:class:`~repro.pipeline.analyzer.AnalyzerConfig`) and callee bounds are
+fixed before a wave starts, so serial and parallel runs produce
+bit-identical :class:`~repro.project.report.FunctionSummary` payloads and
+degrade identically under a fault plan -- the scheduler only changes
+*where* a job runs, never *what* it computes.  If the process pool cannot
+be created or dies (sandboxed environments, pickling restrictions), the
+scheduler falls back to serial execution and records the reason in
+``ProjectReport.fallback_reason`` and the obs registry
 (``project.scheduler.pool_fallback.*``) rather than failing the batch.
 """
 
@@ -45,6 +57,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..mc.store import QueryStore, using_query_store
 from ..minic import parse_and_analyze
+from ..minic.semantic import AnalyzedProgram
 from ..pipeline.analyzer import (
     AnalyzerConfig,
     WcetAnalyzer,
@@ -132,95 +145,114 @@ class AnalysisJob:
         return tuple(sorted(set(self.resolved_map.values())))
 
 
-def _execute_analysis(
-    unit_name: str,
-    source: str,
-    function_name: str,
-    config: AnalyzerConfig,
-    callee_bounds: dict[str, int],
-    fault_plan: FaultPlan | None = None,
-    job_timeout_seconds: float | None = None,
-    inject_job_fault: bool = False,
-    trace: dict | None = None,
-    query_cache_dir: str | None = None,
-) -> tuple[dict, list, dict]:
-    """Analyse one function from its unit source.
+@dataclass(frozen=True)
+class AttemptRequest:
+    """Everything one analysis attempt needs besides the unit (picklable)."""
 
-    Returns ``(summary dict, span events, obs report)``.  Module-level so it
-    pickles into process-pool workers; the worker re-parses the unit from
-    source, which keeps the inter-process payload to plain strings plus the
-    (picklable, dataclass-only) config, bound mapping and fault sub-plan.
-    ``fault_plan`` carries only the job-internal sites (``mc.solve``,
-    ``interp.step``): each job evaluates them against a fresh injector with
-    its own hit counters, so what fires never depends on how jobs interleave
-    across workers.  ``inject_job_fault`` is the scheduler-decided
-    ``job.execute`` crash (a pure function of plan seed, job name and
-    attempt number, shipped as a flag for the same reason).
+    function: ProjectFunction
+    config: AnalyzerConfig
+    callee_bounds: dict[str, int]
+    #: the run's plan; the attempt evaluates the job-internal sites and the
+    #: ``cache.*`` sites of its query-store I/O against fresh injectors
+    fault_plan: FaultPlan
+    #: 1-based attempt number, the hit index of the ``job.execute`` site
+    attempt: int
+    #: the scheduler-decided ``job.execute`` fault of this attempt
+    execute_fault: FaultSpec | None
+    timeout_seconds: float | None
+    #: the span the attempt's spans hang under (None = untraced) and the
+    #: event cap of the private tracer that records them
+    parent_span: obs.SpanContext | None
+    max_events: int | None
+    #: root of the persistent query store (None = store disabled)
+    query_cache_root: str | None
 
-    ``trace`` is the serialised span handshake
-    (``{"trace_id", "parent_id", "max_events"}``): the worker records its
-    spans into a private tracer under that parent and returns the events,
-    which the scheduler merges back into its own tracer -- the cross-process
-    half of the end-to-end trace tree.  ``None`` (untraced run) costs
-    nothing and returns an empty event list.  The job records its counters
-    and stage timers into a fresh registry (the pool reuses worker
-    processes), whose report the scheduler merges into its own.
 
-    ``query_cache_dir`` (the scheduler's cache root) re-opens the shared
-    persistent model-checking query store inside the worker: verdicts and
-    witnesses flow through the same crash-safe, flock-serialised files the
-    serial path uses, so pool runs populate and profit from the store
-    identically.  Replay failures quarantine the entry on disk in-place;
-    the worker keeps no other store state worth shipping back.
+@dataclass
+class AttemptOutcome:
+    """What one attempt hands back to the scheduler, success or failure."""
+
+    summary: FunctionSummary | None = None
+    error: Exception | None = None
+    #: span events and obs registry report of the attempt
+    spans: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
+    #: query-store entries whose witness failed to replay
+    replay_failures: list = field(default_factory=list)
+    #: the query cache's :meth:`ResultCache.io_counts` and fired faults
+    query_io: dict | None = None
+    query_faults: list = field(default_factory=list)
+
+
+def run_attempt(unit: AnalyzedProgram | str, request: AttemptRequest) -> AttemptOutcome:
+    """Run one analysis attempt of one function: the only code that runs a job.
+
+    *unit* is the analysed unit (in-process) or its source text (a pool
+    worker re-parses it, which keeps the inter-process payload small).
+    The attempt builds its own resilience context -- the job sub-plan's
+    injector, the ``job.execute`` raise or delay, the deadline -- and opens
+    the query store over its own :class:`ResultCache` whose ``cache.read``
+    / ``cache.write`` sites count hits of this attempt only, so what fires
+    never depends on where or alongside what the attempt runs.  Counters,
+    stage timers and spans go to a private registry and tracer that the
+    outcome carries back; errors are returned, not raised, so a failed
+    attempt still reports what it observed.
     """
-    injector = (
-        FaultInjector(fault_plan)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    deadline = Deadline(job_timeout_seconds) if job_timeout_seconds else None
-    tracer: obs.Tracer | None = None
+    outcome = AttemptOutcome()
     registry = obs.Registry()
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(obs.using_registry(registry))
-        if trace is not None:
-            tracer = obs.Tracer(max_events=trace.get("max_events"))
+    tracer = None
+    if request.parent_span is not None:
+        tracer = obs.Tracer(max_events=request.max_events)
+    plan = request.fault_plan
+    query_cache = store = None
+    if request.query_cache_root is not None:
+        query_cache = ResultCache(request.query_cache_root)
+        io_plan = plan.for_sites("cache.read", "cache.write")
+        if not io_plan.is_empty:
+            query_cache.fault_injector = FaultInjector(io_plan)
+        store = QueryStore(query_cache)
+    job_plan = plan.job_plan()
+    context = ResilienceContext(
+        injector=None if job_plan.is_empty else FaultInjector(job_plan),
+        deadline=Deadline(request.timeout_seconds) if request.timeout_seconds else None,
+    )
+    function = request.function
+    fault = request.execute_fault
+    try:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(obs.using_registry(registry))
+            stack.enter_context(obs.using_tracer(tracer, request.parent_span))
             stack.enter_context(
-                obs.using_tracer(
-                    tracer,
-                    obs.SpanContext(
-                        trace_id=trace["trace_id"], span_id=trace["parent_id"]
-                    ),
+                obs.stage("project.job", function=function.qualified_name)
+            )
+            stack.enter_context(using_query_store(store))
+            if context.injector or context.deadline:
+                stack.enter_context(activate(context))
+            if fault is not None and fault.kind is FaultKind.RAISE:
+                raise InjectedFault(
+                    "job.execute", "injected job crash", request.attempt
                 )
-            )
-        stack.enter_context(
-            obs.stage("project.job", function=function_name, worker="pool")
-        )
-        if query_cache_dir is not None:
-            stack.enter_context(
-                using_query_store(QueryStore(ResultCache(query_cache_dir)))
-            )
-        analyzed = parse_and_analyze(source, filename=unit_name)
-        if injector is None and deadline is None and not inject_job_fault:
+            if fault is not None and fault.kind is FaultKind.DELAY:
+                time.sleep(fault.delay_ms / 1000.0)
+            if isinstance(unit, str):
+                unit = parse_and_analyze(unit, filename=function.unit)
             report = WcetAnalyzer(
-                analyzed, function_name, config, callee_bounds=callee_bounds
+                unit, function.name, request.config,
+                callee_bounds=request.callee_bounds,
             ).analyze()
-        else:
-            with activate(
-                ResilienceContext(injector=injector, deadline=deadline)
-            ):
-                if inject_job_fault:
-                    raise InjectedFault(
-                        "job.execute", "injected job crash", 1
-                    )
-                report = WcetAnalyzer(
-                    analyzed, function_name, config, callee_bounds=callee_bounds
-                ).analyze()
-        summary = FunctionSummary.from_report(
-            unit_name, config.partitioner, report
-        )
-    events = tracer.events() if tracer is not None else []
-    return summary.to_dict(), events, registry.report()
+            outcome.summary = FunctionSummary.from_report(
+                function.unit, request.config.partitioner, report
+            )
+    except Exception as error:
+        outcome.error = error
+    outcome.spans = tracer.events() if tracer is not None else []
+    outcome.counters = registry.report()
+    if store is not None:
+        outcome.replay_failures = store.replay_failures
+        outcome.query_io = query_cache.io_counts()
+        if query_cache.fault_injector is not None:
+            outcome.query_faults = query_cache.fault_injector.fired
+    return outcome
 
 
 class ProjectScheduler:
@@ -233,7 +265,6 @@ class ProjectScheduler:
         cache: ResultCache | None = None,
         workers: int = 1,
         only: list[str] | None = None,
-        interprocedural: bool = True,
         unknown_call_cycles: int | None = None,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -270,10 +301,13 @@ class ProjectScheduler:
         (per-(slice, goal) verdicts + witnesses, :mod:`repro.mc.store`).
         ``None`` shares the result cache -- a plain warm ``project`` run
         answers every unchanged reachability query from disk with zero
-        solver calls -- and :meth:`ResultCache.disabled` opts out.  Like
-        the fault plan it is deliberately not part of the fingerprinted
-        :class:`AnalyzerConfig`: store entries are replay-validated on
-        load, so where (or whether) they persist never changes a verdict.
+        solver calls -- and :meth:`ResultCache.disabled` opts out.  Every
+        attempt opens the store over the cache's root, and its read/write
+        failures, quarantines and diagnostics are folded back into this
+        instance.  Like the fault plan it is deliberately not part of the
+        fingerprinted :class:`AnalyzerConfig`: store entries are
+        replay-validated on load, so where (or whether) they persist never
+        changes a verdict.
         """
         from ..callgraph.summaries import (
             DEFAULT_UNKNOWN_CALL_CYCLES,
@@ -285,7 +319,6 @@ class ProjectScheduler:
         self._cache = cache or ResultCache.disabled()
         self._workers = max(1, int(workers))
         self._only = only
-        self._interprocedural = interprocedural
         self._unknown_call_cycles = (
             DEFAULT_UNKNOWN_CALL_CYCLES
             if unknown_call_cycles is None
@@ -300,9 +333,10 @@ class ProjectScheduler:
         self._job_timeout = job_timeout_seconds
         self._pool_restart_budget = max(0, int(pool_restart_budget))
         self._progress_callback = progress_callback
-        #: scheduler-side injector (cache.*, pool.submit); job-internal
-        #: sites ship to each job as a sub-plan, and job.execute is decided
-        #: per attempt by :meth:`_job_execute_spec`
+        #: scheduler-side injector (summary-cache probes and writes,
+        #: pool.submit); every attempt evaluates its own sites against
+        #: fresh injectors, and job.execute is decided per attempt by
+        #: :meth:`_job_execute_spec`
         self._injector = (
             FaultInjector(
                 self._fault_plan.for_sites(
@@ -319,19 +353,16 @@ class ProjectScheduler:
         )
         if self._injector is not None:
             self._cache.fault_injector = self._injector
-        #: persistent model-checking query store (None = disabled)
+        #: backing cache of the persistent model-checking query store; each
+        #: attempt opens the store over its root and the I/O counts it
+        #: reports are folded back into this instance
         self._query_cache = query_cache if query_cache is not None else self._cache
-        self._query_store = (
-            QueryStore(self._query_cache) if self._query_cache.enabled else None
+        self._query_root = (
+            str(self._query_cache.root) if self._query_cache.enabled else None
         )
-        if (
-            self._injector is not None
-            and self._query_cache is not self._cache
-            and self._query_store is not None
-        ):
-            # a dedicated query cache joins the chaos plan like the shared
-            # one would (cache.read / cache.write fire on query I/O too)
-            self._query_cache.fault_injector = self._injector
+        #: replay failures and query-I/O faults the attempts reported
+        self._replay_failures: list[dict] = []
+        self._attempt_faults: list[str] = []
         self._flight = flight_recorder
         if self._flight is None and self._cache.root is not None:
             self._flight = obs.FlightRecorder(
@@ -343,8 +374,7 @@ class ProjectScheduler:
         self.trace_id: str | None = None
         #: the tracer the last run recorded into (ambient or auto-armed ring)
         self._tracer: obs.Tracer | None = None
-        #: the resolved project call graph (built lazily with the jobs;
-        #: ``None`` in flat mode)
+        #: the resolved project call graph (built lazily with the jobs)
         self.callgraph = None
         #: execution mode of the last run ("serial", "process-pool", or
         #: "serial-fallback" when a pool could not be created or died)
@@ -372,34 +402,17 @@ class ProjectScheduler:
             pass
 
     def jobs(self) -> list[AnalysisJob]:
-        """The job graph (built once, ordered by (unit, function))."""
-        if self._jobs is None:
-            if self._interprocedural:
-                self._jobs = self._build_interprocedural_jobs()
-            else:
-                self._jobs = [
-                    AnalysisJob(
-                        job_id=index,
-                        function=function,
-                        cache_key=self._cache.key_for(
-                            function.fingerprint, self._config
-                        ),
-                        transitive_fingerprint=function.fingerprint,
-                    )
-                    for index, function in enumerate(
-                        self._project.functions(only=self._only)
-                    )
-                ]
-        return self._jobs
+        """The job graph, built once and ordered by (unit, function).
 
-    def _build_interprocedural_jobs(self) -> list[AnalysisJob]:
-        """Resolve the call graph and key every job on a transitive fingerprint.
-
-        With an ``only`` filter the selection is closed over resolved callees:
-        a caller's bound cannot be computed without its callees' bounds, so
-        restricting to ``--function caller`` still analyses (or recalls from
-        cache) everything the caller transitively calls.
+        Building it resolves the call graph and keys every job on a
+        transitive fingerprint.  With an ``only`` filter the selection is
+        closed over resolved callees: a caller's bound cannot be computed
+        without its callees' bounds, so restricting to ``--function caller``
+        still analyses (or recalls from cache) everything the caller
+        transitively calls.
         """
+        if self._jobs is not None:
+            return self._jobs
         # imported lazily: repro.callgraph builds on repro.project.model, so a
         # module-level import would be circular through the package __init__
         from ..callgraph.graph import CallGraph
@@ -446,6 +459,7 @@ class ProjectScheduler:
                     transitive_fingerprint=fingerprints[qualified],
                 )
             )
+        self._jobs = jobs
         return jobs
 
     # ------------------------------------------------------------------ #
@@ -456,6 +470,8 @@ class ProjectScheduler:
         obs.count("project.jobs", len(jobs))
         self.flight_dumps = []
         self.trace_id = None
+        self._replay_failures = []
+        self._attempt_faults = []
 
         with contextlib.ExitStack() as stack:
             tracer = obs.active_tracer()
@@ -488,14 +504,11 @@ class ProjectScheduler:
                     self._execute(runnable)
                 self._harvest_summaries(wave)
 
-            if (
-                self._query_store is not None
-                and self._query_store.replay_failures
-            ):
+            if self._replay_failures:
                 # a store entry whose witness no longer replays is hard
                 # evidence of on-disk tampering/corruption (everything
                 # written passed a save-time self-replay): freeze a timeline
-                failures = self._query_store.replay_failures
+                failures = self._replay_failures
                 self._flight_dump(
                     "query-replay-failure",
                     detail=f"{len(failures)} rejected entr(y/ies): "
@@ -550,7 +563,7 @@ class ProjectScheduler:
             workers=self._workers,
             waves=self.waves_executed,
             summary_reuse_calls=reused_calls,
-            callgraph=self.callgraph.to_dict() if self.callgraph else None,
+            callgraph=self.callgraph.to_dict(),
             elapsed_seconds=time.perf_counter() - started,
             pool_restarts=self.pool_restarts,
             cache_write_failures=self._cache.write_failures,
@@ -653,7 +666,7 @@ class ProjectScheduler:
         )
         for call_name in job.ambiguous_call_names:
             bounds[call_name] = self._unknown_call_cycles
-        if job.unsummarisable and self.callgraph is not None:
+        if job.unsummarisable:
             frontier = [job.resolved_map[name] for name in job.unsummarisable]
             visited: set[str] = set()
             demanded_inline = set(job.unsummarisable)
@@ -783,16 +796,12 @@ class ProjectScheduler:
         else:
             remaining = jobs
         for job in remaining:
-            self._execute_serial(job)
+            self._execute_in_process(job)
 
     def _note_fallback(self, reason: str) -> None:
         self.mode = "serial-fallback"
         if self.fallback_reason is None:
             self.fallback_reason = reason
-
-    def _job_fault_plan(self) -> FaultPlan | None:
-        plan = self._fault_plan.job_plan()
-        return plan if not plan.is_empty else None
 
     def _job_execute_spec(self, job: AnalysisJob, attempt: int) -> FaultSpec | None:
         """The ``job.execute`` fault firing on this job's *attempt*, if any.
@@ -810,6 +819,25 @@ class ProjectScheduler:
                 obs.count("resilience.injected.job.execute")
                 return spec
         return None
+
+    def _attempt_request(self, job: AnalysisJob) -> AttemptRequest:
+        """The request of *job*'s next attempt."""
+        tracer = self._tracer
+        attempt = job.attempts + 1
+        return AttemptRequest(
+            function=job.function,
+            config=self._job_config(job),
+            callee_bounds=job.callee_bounds,
+            fault_plan=self._fault_plan,
+            attempt=attempt,
+            execute_fault=self._job_execute_spec(job, attempt),
+            timeout_seconds=self._job_timeout,
+            # the span handshake: the attempt records under the wave span
+            # and ships its events back for merging
+            parent_span=None if tracer is None else obs.current_context(),
+            max_events=None if tracer is None else tracer.max_events,
+            query_cache_root=self._query_root,
+        )
 
     def _execute_pool(self, jobs: list[AnalysisJob]) -> list[AnalysisJob]:
         """Run *jobs* on a process pool; return the jobs still to be executed.
@@ -841,10 +869,13 @@ class ProjectScheduler:
             except (
                 concurrent.futures.process.BrokenProcessPool,
                 InjectedFault,
+                pickle.PicklingError,
             ) as error:
                 # the pool died (fork bans, OOM-killed worker, an injected
                 # pool.submit fault): restart it for the unfinished jobs
-                # while the restart budget lasts
+                # while the restart budget lasts; a request that does not
+                # pickle would fail identically, so it goes straight to
+                # serial
                 survivors = [
                     job
                     for job in pending_jobs
@@ -852,40 +883,27 @@ class ProjectScheduler:
                 ]
                 for job in survivors:
                     job.state = JobState.PENDING
-                if self.pool_restarts < self._pool_restart_budget:
+                permanent = isinstance(error, pickle.PicklingError)
+                if not permanent and self.pool_restarts < self._pool_restart_budget:
                     self.pool_restarts += 1
                     obs.count("project.scheduler.pool_restarts")
                     pending_jobs = survivors
                     continue
+                reason = f"pool-died: {type(error).__name__}: {error}"
+                if not permanent:
+                    reason += (
+                        f" (restart budget of {self._pool_restart_budget} spent)"
+                    )
                 obs.count("project.scheduler.pool_fallbacks")
                 obs.count("project.scheduler.pool_fallback.pool_died")
-                self._note_fallback(
-                    f"pool-died: {type(error).__name__}: {error} "
-                    f"(restart budget of {self._pool_restart_budget} spent)"
-                )
-                return survivors
-            except pickle.PicklingError as error:
-                # a config that does not pickle is permanent: restarting the
-                # pool would fail identically, so go straight to serial
-                survivors = [
-                    job
-                    for job in pending_jobs
-                    if job.summary is None and job.state is not JobState.FAILED
-                ]
-                for job in survivors:
-                    job.state = JobState.PENDING
-                obs.count("project.scheduler.pool_fallbacks")
-                obs.count("project.scheduler.pool_fallback.pool_died")
-                self._note_fallback(
-                    f"pool-died: {type(error).__name__}: {error}"
-                )
+                self._note_fallback(reason)
                 return survivors
             if self.mode != "serial-fallback":
                 # a fallback in an earlier wave keeps the report honest even
                 # if this wave's pool came up fine
                 self.mode = "process-pool"
-            # jobs whose worker raised a transient error are retried on the
-            # serial path (their attempt count carries over)
+            # jobs whose attempt failed transiently are retried in-process
+            # (their attempt count carries over)
             return retry_serially
         return []
 
@@ -894,176 +912,104 @@ class ProjectScheduler:
         pool: concurrent.futures.ProcessPoolExecutor,
         jobs: list[AnalysisJob],
     ) -> list[AnalysisJob]:
-        """One submit/drain cycle; returns jobs to retry serially."""
+        """One submit/drain cycle; returns jobs to retry in-process."""
         pending: dict[concurrent.futures.Future, AnalysisJob] = {}
         retry_serially: list[AnalysisJob] = []
-        # the cross-process span handshake: workers record under the wave
-        # span as parent and ship their events back for merging
-        trace_payload = None
-        context = obs.current_context()
-        if self._tracer is not None and context is not None:
-            trace_payload = {
-                "trace_id": context.trace_id,
-                "parent_id": context.span_id,
-                "max_events": self._tracer.max_events,
-            }
         with pool:
             for job in jobs:
-                unit = self._project.unit(job.function.unit)
                 if self._injector is not None:
                     # an injected pool.submit fault == the pool broke while
                     # feeding it work; handled by the restart loop above
                     self._injector.check("pool.submit", job.qualified_name)
                 job.state = JobState.RUNNING
-                spec = self._job_execute_spec(job, job.attempts + 1)
-                inject = spec is not None and spec.kind is FaultKind.RAISE
                 future = pool.submit(
-                    _execute_analysis,
-                    unit.name,
-                    unit.source,
-                    job.function.name,
-                    self._job_config(job),
-                    job.callee_bounds,
-                    self._job_fault_plan(),
-                    self._job_timeout,
-                    inject,
-                    trace_payload,
-                    str(self._query_cache.root)
-                    if self._query_store is not None
-                    and self._query_cache.root is not None
-                    else None,
+                    run_attempt,
+                    self._project.unit(job.function.unit).source,
+                    self._attempt_request(job),
                 )
                 pending[future] = job
             for future in concurrent.futures.as_completed(pending):
                 job = pending.pop(future)
                 try:
-                    payload, span_events, counts = future.result()
+                    result = future.result()
                 except (
                     concurrent.futures.process.BrokenProcessPool,
                     pickle.PicklingError,
                 ):
                     # pool-level trouble, not a property of this job
                     raise
-                except JobTimeout as error:
-                    job.attempts += 1
-                    self._quarantine(job, f"wall-clock timeout: {error}")
-                    continue
                 except Exception as error:
-                    job.attempts += 1
-                    kind = classify_error(error)
-                    job.fault_events.append(
-                        f"attempt {job.attempts} failed ({kind}): "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    if (
-                        kind == "transient"
-                        and job.attempts < self._retry_policy.max_attempts
-                    ):
-                        job.retries += 1
-                        obs.count("project.scheduler.retries")
-                        job.state = JobState.PENDING
-                        retry_serially.append(job)
-                    elif kind == "transient":
-                        self._quarantine(
-                            job,
-                            f"transient failures exhausted "
-                            f"{self._retry_policy.max_attempts} attempt(s): "
-                            f"{type(error).__name__}: {error}",
-                        )
-                    else:
-                        self._fail(job, error)
-                    continue
-                if span_events and self._tracer is not None:
-                    self._tracer.merge(span_events)
-                obs.active_registry().merge(counts)
-                self._complete(job, FunctionSummary.from_dict(payload))
+                    result = error
+                if self._settle(job, result):
+                    retry_serially.append(job)
         return retry_serially
 
-    def _execute_serial(self, job: AnalysisJob) -> None:
+    def _execute_in_process(self, job: AnalysisJob) -> None:
         """Run one job in-process, retrying transient failures with backoff."""
         unit = self._project.unit(job.function.unit)
-        policy = self._retry_policy
         while True:
-            job.state = JobState.RUNNING
             if job.attempts > 0:
                 # a backoff sleep precedes every retry attempt; the delay is
                 # a pure function of (seed, job, attempt) so chaos runs
                 # sleep the same deterministic schedule every time
-                time.sleep(policy.delay_for(job.attempts, job.qualified_name))
-            job.attempts += 1
-            try:
-                with obs.stage(
-                    "project.job",
-                    function=job.qualified_name,
-                    worker="serial",
-                ):
-                    summary = self._run_job(job, unit)
-            except JobTimeout as error:
-                # a deterministic computation would time out again: no retry
-                self._quarantine(job, f"wall-clock timeout: {error}")
-                return
-            except Exception as error:
-                kind = classify_error(error)
-                job.fault_events.append(
-                    f"attempt {job.attempts} failed ({kind}): "
-                    f"{type(error).__name__}: {error}"
+                time.sleep(
+                    self._retry_policy.delay_for(job.attempts, job.qualified_name)
                 )
-                if kind == "transient" and job.attempts < policy.max_attempts:
-                    job.retries += 1
-                    obs.count("project.scheduler.retries")
-                    continue
-                if kind == "transient":
-                    self._quarantine(
-                        job,
-                        f"transient failures exhausted {policy.max_attempts} "
-                        f"attempt(s): {type(error).__name__}: {error}",
-                    )
-                else:
-                    # a genuine, permanent analysis error: the seed
-                    # behaviour (fail the job, report it) is the right one
-                    self._fail(job, error)
+            job.state = JobState.RUNNING
+            outcome = run_attempt(unit.analyzed, self._attempt_request(job))
+            if not self._settle(job, outcome):
                 return
-            self._complete(job, summary)
-            return
 
-    def _run_job(self, job: AnalysisJob, unit) -> FunctionSummary:
-        """One in-process analysis attempt under the job's resilience context."""
-        injector_plan = self._job_fault_plan()
-        injector = (
-            FaultInjector(injector_plan) if injector_plan is not None else None
+    def _settle(
+        self, job: AnalysisJob, result: AttemptOutcome | Exception
+    ) -> bool:
+        """Fold one attempt into the run and decide the job; True = retry.
+
+        Both executors end every attempt here: the outcome's spans,
+        counters, replay failures and query-cache I/O join the run's, and
+        the job completes, is retried (transient failure within the retry
+        policy), is quarantined (timeout, or transient failures exhausted)
+        or fails (a genuine, permanent analysis error).  *result* is a bare
+        exception only when the pool lost the attempt's outcome.
+        """
+        job.attempts += 1
+        error = result
+        if isinstance(result, AttemptOutcome):
+            if result.spans and self._tracer is not None:
+                self._tracer.merge(result.spans)
+            obs.active_registry().merge(result.counters)
+            self._replay_failures.extend(result.replay_failures)
+            self._attempt_faults.extend(result.query_faults)
+            if result.query_io is not None:
+                self._query_cache.absorb(result.query_io)
+            error = result.error
+            if error is None:
+                self._complete(job, result.summary)
+                return False
+        if isinstance(error, JobTimeout):
+            # a deterministic computation would time out again: no retry
+            self._quarantine(job, f"wall-clock timeout: {error}")
+            return False
+        kind = classify_error(error)
+        job.fault_events.append(
+            f"attempt {job.attempts} failed ({kind}): "
+            f"{type(error).__name__}: {error}"
         )
-        deadline = Deadline(self._job_timeout) if self._job_timeout else None
-        inject = self._job_execute_spec(job, job.attempts)
-        with using_query_store(self._query_store):
-            if injector is None and deadline is None and inject is None:
-                # reuse the unit's already-analysed AST in-process; the
-                # pipeline is deterministic, so this matches the worker's
-                # re-parse exactly
-                report = WcetAnalyzer(
-                    unit.analyzed,
-                    job.function.name,
-                    self._job_config(job),
-                    callee_bounds=job.callee_bounds,
-                ).analyze()
-            else:
-                with activate(
-                    ResilienceContext(injector=injector, deadline=deadline)
-                ):
-                    if inject is not None and inject.kind is FaultKind.RAISE:
-                        raise InjectedFault(
-                            "job.execute", "injected job crash", 1
-                        )
-                    if inject is not None and inject.kind is FaultKind.DELAY:
-                        time.sleep(inject.delay_ms / 1000.0)
-                    report = WcetAnalyzer(
-                        unit.analyzed,
-                        job.function.name,
-                        self._job_config(job),
-                        callee_bounds=job.callee_bounds,
-                    ).analyze()
-        return FunctionSummary.from_report(
-            unit.name, self._config.partitioner, report
-        )
+        max_attempts = self._retry_policy.max_attempts
+        if kind == "transient" and job.attempts < max_attempts:
+            job.retries += 1
+            obs.count("project.scheduler.retries")
+            job.state = JobState.PENDING
+            return True
+        if kind == "transient":
+            self._quarantine(
+                job,
+                f"transient failures exhausted {max_attempts} attempt(s): "
+                f"{type(error).__name__}: {error}",
+            )
+        else:
+            self._fail(job, error)
+        return False
 
     # ------------------------------------------------------------------ #
     def _flight_dump(self, trigger: str, detail: str | None = None) -> None:
@@ -1082,9 +1028,8 @@ class ProjectScheduler:
 
     def _fired_fault_summary(self, jobs: list[AnalysisJob]) -> str | None:
         """One line describing the faults this run absorbed (None = clean)."""
-        fired: list[str] = []
-        if self._injector is not None:
-            fired.extend(self._injector.fired)
+        fired = list(self._injector.fired) if self._injector is not None else []
+        fired += self._attempt_faults
         for job in jobs:
             fired.extend(job.fault_events)
             if job.summary is not None:
@@ -1158,7 +1103,6 @@ def analyze_project(
     cache: ResultCache | None = None,
     workers: int = 1,
     only: list[str] | None = None,
-    interprocedural: bool = True,
     unknown_call_cycles: int | None = None,
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
@@ -1174,7 +1118,6 @@ def analyze_project(
         cache=cache,
         workers=workers,
         only=only,
-        interprocedural=interprocedural,
         unknown_call_cycles=unknown_call_cycles,
         fault_plan=fault_plan,
         retry_policy=retry_policy,

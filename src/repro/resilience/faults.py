@@ -10,10 +10,12 @@ scheduling.  Three design rules make that true:
   ``pool.submit``, ``job.execute``, ``mc.solve``, ``interp.step``,
   ``service.request``) -- and a spec only ever fires at its own site.
 * **Deterministic hit selection.**  ``@N`` specs count *hits of the owning
-  injector*; the scheduler counts scheduler-side sites (cache, pool, job
-  dispatch) in job order, and ships a per-job sub-plan into each job so
-  job-internal sites (``mc.solve``, ``interp.step``) count hits of that
-  job's own deterministic execution.  ``rate=P`` specs do not consume a
+  injector*; the scheduler counts its own sites (summary-cache probes and
+  writes, ``pool.submit``) in job order and decides ``job.execute`` per
+  (job, attempt), while every job attempt evaluates the job-internal
+  sites (``mc.solve``, ``interp.step``) and the ``cache.*`` sites of its
+  query-store I/O against fresh injectors, so they count hits of that
+  attempt's own deterministic execution.  ``rate=P`` specs do not consume a
   shared random stream: the decision is a pure hash of
   ``(plan seed, site, key, hit index)``, so it is identical whether jobs
   run serially, on two workers or on twenty.
@@ -251,9 +253,9 @@ class FaultInjector:
     """Evaluates a :class:`FaultPlan` against per-site hit counters.
 
     One injector's counters belong to one deterministic execution scope: the
-    scheduler owns one for scheduler-side sites, and every job execution gets
-    a fresh one for its internal sites, so hit counts never depend on how
-    jobs interleave.
+    scheduler owns one for scheduler-side sites, and every job attempt gets
+    fresh ones for its internal sites and its query-store I/O, so hit
+    counts never depend on how jobs interleave.
     """
 
     def __init__(self, plan: FaultPlan | None):

@@ -722,22 +722,3 @@ class TestCallGraphCli:
 
         assert cli_main(["project", "--demo", "--demo-calls"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_call_graph_flag_in_flat_mode_prints_note(self, capsys):
-        from repro.cli import main as cli_main
-
-        code = cli_main(
-            [
-                "project",
-                "--demo",
-                "--no-cache",
-                "--bound",
-                "2",
-                "--no-interprocedural",
-                "--call-graph",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "Call graph" not in captured.out
-        assert "no effect" in captured.err

@@ -90,12 +90,6 @@ class TestProjectModel:
             changed.analyzed, name
         )
 
-    def test_only_filter(self, project):
-        selected = project.functions(only=["task_0"])
-        assert [f.name for f in selected] == ["task_0"]
-        with pytest.raises(ProjectError):
-            project.functions(only=["no_such_function"])
-
     def test_duplicate_units_rejected(self, workload):
         unit = SourceUnit.from_source("a.c", workload.sources["unit_0.c"])
         with pytest.raises(ProjectError):

@@ -10,11 +10,16 @@ the project run raise or report a hard failure.
 
 from __future__ import annotations
 
+import json
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.mc import Verdict
+from repro.mc.store import pack_entry, structural_error
 from repro.pipeline import AnalyzerConfig
 from repro.pipeline.analyzer import WcetAnalyzer
 from repro.project import (
@@ -376,6 +381,8 @@ class TestResilientScheduler:
                 (summary.unit, summary.function)
             ]
             assert summary.degraded and summary.degraded_reason
+            # the job.execute hit index is the attempt number
+            assert "job.execute (hit 2)" in summary.fault_events[1]
         payload = report.to_dict()
         assert payload["resilience"]["quarantined_functions"] == [
             f"{s.unit}:{s.function}" for s in quarantined
@@ -515,6 +522,154 @@ class TestResilientPool:
         assert [s.result_payload() for s in report.functions] == [
             s.result_payload() for s in clean_report.functions
         ]
+
+
+#: a one-vector random phase leaves the reachable targets to the model
+#: checker, so the query store holds REACHABLE entries with witnesses
+MC_HEAVY_CONFIG = quick_config(
+    hybrid=HybridOptions(plateau_patterns=1, max_random_vectors=1, seed=1)
+)
+
+
+def attempt_fingerprint(project, tmp_path: Path, workers: int, **kwargs):
+    """Everything a fault plan decides about a run, for serial/pool parity.
+
+    The project's one wave holds several jobs, so ``workers=2`` runs them
+    on the pool.  Besides the report, the fingerprint holds the
+    ``resilience.injected.*`` counters, the attempts each job made, the
+    ``project.job`` samples of every attempt (failed ones too) and the
+    query cache's failure counts.
+    """
+    run_dir = tmp_path / f"workers-{workers}"
+    query_cache = kwargs.pop("query_cache", None)
+    registry = obs.Registry()
+    with obs.using_registry(registry):
+        scheduler = ProjectScheduler(
+            project,
+            config=kwargs.pop("config", quick_config()),
+            cache=ResultCache(run_dir / "cache"),
+            workers=workers,
+            flight_recorder=obs.FlightRecorder(run_dir / "diagnostics"),
+            query_cache=query_cache,
+            **kwargs,
+        )
+        report = scheduler.run()
+    assert report.mode == ("process-pool" if workers > 1 else "serial")
+    counters = registry.report()["counters"]
+    return {
+        "quarantined": report.quarantined_functions,
+        "retries": {s.function: s.retries for s in report.functions},
+        "fault_events": {s.function: s.fault_events for s in report.functions},
+        "flight_dumps": sorted(d["trigger"] for d in report.flight_dumps),
+        "injected": {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("resilience.injected.")
+        },
+        "attempts": [job.attempts for job in scheduler.jobs()],
+        "attempt_stages": registry.timer("project.job").calls,
+        "query_cache": None
+        if query_cache is None
+        else (
+            query_cache.read_failures,
+            query_cache.write_failures,
+            query_cache.quarantined,
+        ),
+    }
+
+
+@pytest.mark.project
+class TestSerialPoolParity:
+    """One attempt path: a fault plan degrades a run the same way on both
+    executors."""
+
+    def test_delay_fault_times_out_on_both_executors(self, project, tmp_path):
+        plan = FaultPlan.from_args(["job.execute:delay=500@1"])
+        serial, pooled = (
+            attempt_fingerprint(
+                project, tmp_path, workers,
+                fault_plan=plan, job_timeout_seconds=0.25,
+            )
+            for workers in (1, 2)
+        )
+        assert serial == pooled
+        assert len(serial["quarantined"]) == len(serial["attempts"])
+        assert serial["injected"] == {
+            "resilience.injected.job.execute": len(serial["attempts"])
+        }
+
+    def test_poisoned_query_entry_is_dumped_on_both_executors(
+        self, project, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        ProjectScheduler(
+            project, config=MC_HEAVY_CONFIG, query_cache=ResultCache(store_dir)
+        ).run()
+        # forge one REACHABLE witness so only its replay can catch it
+        poisoned = 0
+        for path in sorted(store_dir.rglob("*.json")):
+            payload = json.loads(path.read_text())
+            entry = payload.get("entry") or {}
+            witness = entry.get("witness")
+            if not witness or not witness["trace"] or poisoned:
+                continue
+            witness["trace"][0]["labels"] = ["no-such-label"]
+            payload["entry"] = pack_entry(
+                entry["slice_fingerprint"],
+                entry["goal_fingerprint"],
+                Verdict.REACHABLE,
+                witness,
+            )
+            assert structural_error(payload["entry"]) is None
+            path.write_text(json.dumps(payload))
+            poisoned += 1
+        assert poisoned == 1
+
+        fingerprints = []
+        for workers in (1, 2):
+            # each run gets its own copy: the first load quarantines it
+            copy = tmp_path / f"store-{workers}"
+            shutil.copytree(store_dir, copy)
+            fingerprints.append(
+                attempt_fingerprint(
+                    project, tmp_path, workers,
+                    config=MC_HEAVY_CONFIG, query_cache=ResultCache(copy),
+                )
+            )
+        serial, pooled = fingerprints
+        assert serial == pooled
+        assert serial["flight_dumps"] == ["query-replay-failure"]
+        assert serial["query_cache"] == (0, 0, 1)
+
+    def test_query_write_faults_fire_on_both_executors(self, project, tmp_path):
+        plan = FaultPlan.from_args(["cache.write:raise@1+"])
+        fingerprints = []
+        for workers in (1, 2):
+            query_dir = tmp_path / f"query-{workers}"
+            fingerprints.append(
+                attempt_fingerprint(
+                    project, tmp_path, workers,
+                    fault_plan=plan, query_cache=ResultCache(query_dir),
+                )
+            )
+            assert not list(query_dir.rglob("*.json")), "no query entry lands"
+        serial, pooled = fingerprints
+        assert serial == pooled
+        assert serial["query_cache"][1] > 0
+
+    def test_job_crash_retries_the_same_way_on_both_executors(
+        self, project, tmp_path
+    ):
+        plan = FaultPlan.from_args(["job.execute:raise@1"])
+        serial, pooled = (
+            attempt_fingerprint(project, tmp_path, workers, fault_plan=plan)
+            for workers in (1, 2)
+        )
+        assert serial == pooled
+        jobs = len(serial["attempts"])
+        assert serial["attempts"] == [2] * jobs
+        # the crashed first attempts are observed too, wherever they ran
+        assert serial["attempt_stages"] == 2 * jobs
 
 
 # ---------------------------------------------------------------------- #
