@@ -10,14 +10,15 @@ package lifts it to whole programs:
   into dependency waves with callees before callers, and computes the
   *transitive fingerprints* the persistent result cache keys on -- editing a
   leaf callee invalidates exactly the leaf plus its transitive callers.
-* :mod:`repro.callgraph.summaries` stores completed callee bounds; callers
-  charge every call site ``call_overhead + callee bound`` (a
-  :class:`CalleeSummary`) instead of inlining the callee or guessing, and
-  fall back to the pessimistic :data:`DEFAULT_UNKNOWN_CALL_CYCLES` when no
-  summary exists (recursion cycles, ambiguous names).  Same-unit callees
-  whose stubbing would be unsound -- the caller uses their return value,
-  or reads a global they (transitively) write -- are inlined on the
-  caller's board instead, with an ``inlined-callee`` diagnostic.
+* :meth:`CallGraph.charges <repro.callgraph.graph.CallGraph.charges>` is
+  the one charge map: a caller's board charges every summarised call site
+  ``call_overhead + callee bound`` instead of inlining the callee or
+  guessing, and falls back to the pessimistic
+  :data:`DEFAULT_UNKNOWN_CALL_CYCLES` when no bound exists (recursion
+  cycles, ambiguous names).  Same-unit callees whose stubbing would be
+  unsound -- the caller uses their return value, or reads a global they
+  (transitively) write -- are inlined on the caller's board instead, with
+  an ``inlined-callee`` diagnostic.
 
 :class:`~repro.project.scheduler.ProjectScheduler` drives the whole flow:
 ``repro-wcet project --call-graph`` prints the resolved graph, waves and
@@ -28,16 +29,12 @@ from __future__ import annotations
 
 from .extract import FunctionCalls, extract_project_calls
 from .graph import (
+    DEFAULT_UNKNOWN_CALL_CYCLES,
     CallEdge,
     CallGraph,
     CallGraphDiagnostic,
     CallGraphError,
     CallGraphNode,
-)
-from .summaries import (
-    DEFAULT_UNKNOWN_CALL_CYCLES,
-    CalleeSummary,
-    CalleeSummaryStore,
 )
 
 __all__ = [
@@ -46,8 +43,6 @@ __all__ = [
     "CallGraphDiagnostic",
     "CallGraphError",
     "CallGraphNode",
-    "CalleeSummary",
-    "CalleeSummaryStore",
     "DEFAULT_UNKNOWN_CALL_CYCLES",
     "FunctionCalls",
     "extract_project_calls",

@@ -14,6 +14,9 @@ The call graph is the backbone of the interprocedural WCET analysis:
   cycle are charged the pessimistic unknown-call cost instead of a summary).
 * **Dependency waves** order callees before callers; the project scheduler
   runs one wave at a time and feeds completed callee bounds into the next.
+* **Charges** decide, per function, what each call site costs on its
+  measurement board: a summarised callee's bound, the pessimistic
+  :data:`DEFAULT_UNKNOWN_CALL_CYCLES`, or nothing (the body is inlined).
 * **Transitive fingerprints** extend each function's content fingerprint
   with the fingerprints of everything it can reach through resolved calls:
   the persistent result cache keys on them, so editing a leaf invalidates
@@ -24,10 +27,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from ..project.model import Project, ProjectError, ProjectFunction
 from .extract import FunctionCalls, extract_project_calls
+
+
+#: pessimistic per-call charge for a project-defined callee without a usable
+#: bound (recursion cycle, ambiguous name or failed analysis); deliberately
+#: far above any leaf bound of the bundled workloads so the summary-based
+#: bound is strictly tighter than this fallback -- the interprocedural bound
+#: must only ever get *tighter* than the calls-unknown fallback
+DEFAULT_UNKNOWN_CALL_CYCLES = 4096
 
 
 class CallGraphError(ProjectError):
@@ -470,8 +481,9 @@ class CallGraph:
         """Topological waves: wave 0 is leaves, later waves their callers.
 
         Wave numbers are the dependency depth over :meth:`dependencies`
-        (intra-cycle edges dropped) -- exactly how the project scheduler
-        places jobs, so this report always matches the executed schedule.
+        (intra-cycle edges dropped).  The project scheduler runs exactly
+        these waves, restricted to the run's functions, so this report
+        always matches the executed schedule.
         """
         deps = self.dependencies()
         wave_of: dict[str, int] = {}
@@ -519,6 +531,64 @@ class CallGraph:
                 if component_of[callee] == component_of[qualified_name]
             )
         )
+
+    def charges(
+        self,
+        qualified_name: str,
+        bounds: Mapping[str, int],
+        unknown_call_cycles: int = DEFAULT_UNKNOWN_CALL_CYCLES,
+    ) -> tuple[dict[str, int], int]:
+        """Per-call-name charges of one function, and its summarised sites.
+
+        ``bounds`` maps qualified names to completed WCET bounds.  A
+        summarisable resolved callee is charged its bound; a call into the
+        function's own recursion cycle, a callee without a bound and an
+        ambiguous name are charged ``unknown_call_cycles``; an unsummarisable
+        callee is left out, so the board inlines its real body.  The map is
+        closed over those inlined bodies: the calls *they* make keep the
+        charges they have in the callee's own analysis (set only where the
+        function has none), and a name an inlined body needs executed for
+        real is not stubbed either -- except a call into the function's own
+        cycle, whose inlining would not terminate.
+
+        The second value counts the function's own call sites charged with a
+        genuine bound (pessimistic charges excluded).
+        """
+        own_cycle = self.cyclic_callee_names(qualified_name)
+        charged: dict[str, int] = {}
+        demanded_inline: set[str] = set()
+        visited: set[str] = set()
+        # the function itself first, then every body inlined on its board
+        frontier = [qualified_name]
+        while frontier:
+            name = frontier.pop()
+            if name in visited:
+                continue
+            visited.add(name)
+            node = self.node(name)
+            cyclic = self.cyclic_callee_names(name)
+            for call_name, callee in sorted(node.resolved.items()):
+                if call_name in node.unsummarisable:
+                    continue
+                if call_name in cyclic or callee not in bounds:
+                    charged.setdefault(call_name, unknown_call_cycles)
+                else:
+                    charged.setdefault(call_name, bounds[callee])
+            for call_name in node.ambiguous:
+                charged.setdefault(call_name, unknown_call_cycles)
+            demanded_inline.update(node.unsummarisable)
+            frontier.extend(node.resolved[call] for call in node.unsummarisable)
+        for call_name in demanded_inline - set(own_cycle):
+            charged.pop(call_name, None)
+        node = self.node(qualified_name)
+        summarised_sites = sum(
+            node.calls.sites[call_name]
+            for call_name in charged
+            if call_name in node.resolved
+            and call_name not in own_cycle
+            and node.resolved[call_name] in bounds
+        )
+        return charged, summarised_sites
 
     def closure(self, selected: Iterable[str]) -> list[ProjectFunction]:
         """The selected functions plus their transitive resolved callees.

@@ -457,7 +457,11 @@ class Interpreter:
         )
 
     def _value_of(self, expr: Expr, environment: dict[str, int]) -> int:
-        """Side-effect-free re-evaluation for distance computation."""
+        """Side-effect-free re-evaluation for distance computation.
+
+        Results wrap exactly as :meth:`_evaluate` wraps them, so a distance
+        measures the value the board actually branched on.
+        """
         if isinstance(expr, IntLiteral):
             return expr.value
         if isinstance(expr, BoolLiteral):
@@ -465,16 +469,20 @@ class Interpreter:
         if isinstance(expr, Identifier):
             return environment.get(expr.name, 0)
         if isinstance(expr, UnaryOp):
-            return apply_unary(expr.op, self._value_of(expr.operand, environment))
+            operand = self._value_of(expr.operand, environment)
+            return self._wrap(expr.ctype, apply_unary(expr.op, operand))
         if isinstance(expr, BinaryOp):
             try:
-                return apply_binary(
+                raw = apply_binary(
                     expr.op,
                     self._value_of(expr.left, environment),
                     self._value_of(expr.right, environment),
                 )
             except ZeroDivisionError:
                 return 0
+            if expr.op in RELATIONAL_OPERATORS:
+                return raw
+            return self._wrap(expr.ctype, raw)
         if isinstance(expr, Conditional):
             if self._value_of(expr.cond, environment) != 0:
                 return self._value_of(expr.then, environment)
@@ -482,7 +490,10 @@ class Interpreter:
         if isinstance(expr, CastExpr):
             return expr.target_type.wrap(self._value_of(expr.operand, environment))
         if isinstance(expr, AssignExpr):
-            return self._value_of(expr.value, environment)
+            return self._wrap(
+                expr.target.ctype or expr.ctype,
+                self._value_of(expr.value, environment),
+            )
         if isinstance(expr, CallExpr):
             return 0
         return 0

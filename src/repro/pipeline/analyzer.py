@@ -175,7 +175,7 @@ class WcetAnalyzer:
         """``callee_bounds`` enables the interprocedural (compositional) mode.
 
         It maps callee names to their already-computed WCET bounds (see
-        :mod:`repro.callgraph.summaries`).  Each listed callee is treated as
+        :meth:`repro.callgraph.graph.CallGraph.charges`).  Each listed callee is treated as
         opaque during measurement: the board does not execute its body but
         charges ``call_overhead + bound`` cycles per call -- the callee's
         worst case, not the cycles one particular invocation would take --

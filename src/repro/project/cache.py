@@ -122,11 +122,6 @@ class ResultCache:
     def root(self) -> Path | None:
         return self._root
 
-    @property
-    def store_failures(self) -> int:
-        """Backwards-compatible alias of :attr:`write_failures`."""
-        return self.write_failures
-
     # ------------------------------------------------------------------ #
     def key_for(self, function_fingerprint: str, config: AnalyzerConfig) -> str:
         """Cache key of one (function content, analyzer config) pair."""
@@ -175,18 +170,7 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        try:
-            corrupt_payload = False
-            spec = self._maybe_fault("cache.read", key)
-            if spec is not None and spec.kind is FaultKind.CORRUPT:
-                corrupt_payload = True
-            with obs.stage("cache.read", key=key[:12]):
-                summary = self._read(key, force_corrupt=corrupt_payload)
-        except InjectedFault as fault:
-            self.read_failures += 1
-            obs.count("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
-            summary = None
+        summary = self._fetch(key, "function")
         if summary is None:
             self.misses += 1
             obs.count("project.cache.misses")
@@ -196,16 +180,31 @@ class ResultCache:
         summary.from_cache = True
         return summary
 
-    def _read(self, key: str, force_corrupt: bool = False) -> FunctionSummary | None:
+    def _fetch(self, key: str, kind: str):
+        """:meth:`_read` behind the ``cache.read`` fault site and span."""
+        try:
+            spec = self._maybe_fault("cache.read", key)
+            corrupt = spec is not None and spec.kind is FaultKind.CORRUPT
+            with obs.stage("cache.read", key=key[:12]):
+                return self._read(key, kind, force_corrupt=corrupt)
+        except InjectedFault as fault:
+            self._read_failed(key, fault)
+            return None
+
+    def _read(self, key: str, kind: str, force_corrupt: bool = False):
+        """Decode the *kind* entry under *key*: the one read path.
+
+        Returns a :class:`FunctionSummary` (``"function"``) or the raw entry
+        object (``"query"``), or ``None`` on a miss.  An entry without a
+        ``kind`` is a function entry.
+        """
         path = self.path_for(key)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
         except OSError as error:
-            self.read_failures += 1
-            obs.count("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
+            self._read_failed(key, error)
             return None
         if force_corrupt:
             # a CORRUPT fault at cache.read simulates a torn entry being
@@ -219,17 +218,22 @@ class ResultCache:
         if not isinstance(payload, dict):
             self._quarantine(path, key, "payload is not a JSON object")
             return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            # a different (older/newer) code version's entry: miss, not corrupt
+        if (
+            payload.get("schema") != CACHE_SCHEMA
+            or payload.get("kind", "function") != kind
+        ):
+            # a different (older/newer) code version's entry, or the other
+            # namespace's under this key (impossible by construction): a
+            # miss, not corruption
             self.schema_mismatches += 1
             obs.count("project.cache.schema_mismatches")
             return None
-        if payload.get("kind", "function") != "function":
-            # a query-namespace entry under a function key cannot happen by
-            # construction; treat a mislabelled one as another version's
-            self.schema_mismatches += 1
-            obs.count("project.cache.schema_mismatches")
-            return None
+        if kind == "query":
+            entry = payload.get("entry")
+            if not isinstance(entry, dict):
+                self._quarantine(path, key, "query entry has no entry object")
+                return None
+            return entry
         summary = payload.get("summary")
         if not isinstance(summary, dict):
             self._quarantine(path, key, "entry has no summary object")
@@ -239,6 +243,11 @@ class ResultCache:
         except TypeError as error:
             self._quarantine(path, key, f"summary payload malformed: {error}")
             return None
+
+    def _read_failed(self, key: str, error: Exception) -> None:
+        self.read_failures += 1
+        obs.count("project.cache.read_failures")
+        self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
 
     # ------------------------------------------------------------------ #
     def put(self, key: str, summary: FunctionSummary) -> None:
@@ -292,7 +301,6 @@ class ResultCache:
         except (OSError, InjectedFault) as error:
             self.write_failures += 1
             obs.count("project.cache.write_failures")
-            obs.count("project.cache.store_failures")
             if self._write_warning is None:
                 self._write_warning = (
                     f"cache writes are failing (first: {key[:12]}…: {error}); "
@@ -317,59 +325,13 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        try:
-            corrupt_payload = False
-            spec = self._maybe_fault("cache.read", key)
-            if spec is not None and spec.kind is FaultKind.CORRUPT:
-                corrupt_payload = True
-            with obs.stage("cache.read", key=key[:12]):
-                entry = self._read_query(key, force_corrupt=corrupt_payload)
-        except InjectedFault as fault:
-            self.read_failures += 1
-            obs.count("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {fault}")
-            entry = None
+        entry = self._fetch(key, "query")
         if entry is None:
             self.query_misses += 1
             obs.count("project.cache.query_misses")
             return None
         self.query_hits += 1
         obs.count("project.cache.query_hits")
-        return entry
-
-    def _read_query(self, key: str, force_corrupt: bool = False) -> dict | None:
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError as error:
-            self.read_failures += 1
-            obs.count("project.cache.read_failures")
-            self.diagnostics.append(f"cache read failed for {key[:12]}…: {error}")
-            return None
-        if force_corrupt:
-            text = text[: max(1, len(text) // 2)]
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            self._quarantine(path, key, f"unparsable JSON: {error}")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, key, "payload is not a JSON object")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            self.schema_mismatches += 1
-            obs.count("project.cache.schema_mismatches")
-            return None
-        if payload.get("kind") != "query":
-            self.schema_mismatches += 1
-            obs.count("project.cache.schema_mismatches")
-            return None
-        entry = payload.get("entry")
-        if not isinstance(entry, dict):
-            self._quarantine(path, key, "query entry has no entry object")
-            return None
         return entry
 
     def put_query(self, key: str, entry: dict) -> bool:
@@ -524,20 +486,17 @@ class ResultCache:
                 if is_query:
                     report["query_checked"] = int(report["query_checked"]) + 1
                 quarantined_before = self.quarantined
-                if is_query:
-                    entry = self._read_query(key)
-                    if entry is not None:
-                        reason = structural_error(entry)
-                        if reason is not None:
-                            self._quarantine(
-                                path, key, f"query entry invalid: {reason}"
-                            )
-                            entry = None
-                    ok = entry is not None
-                    if ok:
-                        report["query_ok"] = int(report["query_ok"]) + 1
-                else:
-                    ok = self._read(key) is not None
+                entry = self._read(key, "query" if is_query else "function")
+                if is_query and entry is not None:
+                    reason = structural_error(entry)
+                    if reason is not None:
+                        self._quarantine(
+                            path, key, f"query entry invalid: {reason}"
+                        )
+                        entry = None
+                ok = entry is not None
+                if ok and is_query:
+                    report["query_ok"] = int(report["query_ok"]) + 1
                 if ok:
                     report["ok"] = int(report["ok"]) + 1
                 elif self.quarantined > quarantined_before:

@@ -1,17 +1,13 @@
 """Job-graph scheduler driving :class:`WcetAnalyzer` over a whole project.
 
-Every analyzable function becomes one :class:`AnalysisJob`.  The scheduler
-builds the project call graph (:mod:`repro.callgraph`), orders the jobs
-into topological *dependency waves* -- callees before callers -- and feeds
-each completed callee's WCET bound into its callers as a
-:class:`~repro.callgraph.summaries.CalleeSummary`: the caller's measurement
-charges every summarised call site ``call_overhead + callee bound``
-instead of guessing a library cost.  Calls that cannot be summarised
-(recursion cycles, ambiguous names) are charged the pessimistic
-unknown-call cost, and callees whose stubbing would be unsound -- the
-caller uses their return value or reads globals they write -- are inlined
-on the caller's board instead; both cases are reported as call-graph
-diagnostics.
+Every analyzable function becomes one :class:`AnalysisJob`.  The project
+call graph (:mod:`repro.callgraph`) makes every interprocedural decision:
+it orders the functions into *dependency waves* -- callees before callers
+-- and :meth:`~repro.callgraph.graph.CallGraph.charges` decides what each
+call site costs on a caller's board (a completed callee's bound, the
+pessimistic unknown-call cost, or an inlined body).  The scheduler only
+runs jobs: it executes one wave at a time and collects each completed
+bound for the callers of later waves.
 
 Result caching keys on *transitive fingerprints* (the function's content
 hash closed over its resolved callees), so editing a leaf callee invalidates
@@ -53,6 +49,7 @@ import enum
 import pickle
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .. import obs
 from ..mc.store import QueryStore, using_query_store
@@ -80,6 +77,9 @@ from .cache import ResultCache
 from .model import Project, ProjectError, ProjectFunction
 from .report import FunctionSummary, ProjectFailure, ProjectReport
 
+if TYPE_CHECKING:
+    from ..callgraph.graph import CallGraphNode
+
 
 class JobState(enum.Enum):
     PENDING = "pending"
@@ -97,27 +97,13 @@ class AnalysisJob:
     """One function analysis in the project job graph."""
 
     job_id: int
-    function: ProjectFunction
+    #: the function's node in the project call graph
+    node: CallGraphNode
     cache_key: str = ""
     #: job ids that must complete before this job may run
     deps: tuple[int, ...] = ()
     #: dependency wave the job runs on (assigned by the scheduler)
     wave: int = 0
-    #: call name -> qualified name of the resolved project callee
-    resolved_map: dict[str, str] = field(default_factory=dict)
-    #: call names that resolve into the job's own recursion cycle
-    cyclic_call_names: tuple[str, ...] = ()
-    #: resolved call names that must be inlined instead of summarised
-    #: (return value used / global coupling; see the call-graph diagnostics)
-    unsummarisable: tuple[str, ...] = ()
-    #: call names whose definition is ambiguous across units (charged the
-    #: pessimistic unknown-call cost)
-    ambiguous_call_names: tuple[str, ...] = ()
-    #: True when the job's resolved call closure contains a recursion cycle
-    #: (the exhaustive end-to-end comparison is disabled for such jobs)
-    reaches_recursion: bool = False
-    #: call name -> syntactic site count in the function body
-    site_counts: dict[str, int] = field(default_factory=dict)
     #: the job's own call sites charged with a genuine callee summary
     #: (pessimistic recursion/ambiguity charges excluded)
     summary_sites: int = 0
@@ -136,13 +122,12 @@ class AnalysisJob:
     fault_events: list[str] = field(default_factory=list)
 
     @property
-    def qualified_name(self) -> str:
-        return self.function.qualified_name
+    def function(self) -> ProjectFunction:
+        return self.node.function
 
     @property
-    def resolved_callees(self) -> tuple[str, ...]:
-        """Resolved callee qualified names, sorted and deduplicated."""
-        return tuple(sorted(set(self.resolved_map.values())))
+    def qualified_name(self) -> str:
+        return self.node.qualified_name
 
 
 @dataclass(frozen=True)
@@ -309,10 +294,9 @@ class ProjectScheduler:
         replay-validated on load, so where (or whether) they persist never
         changes a verdict.
         """
-        from ..callgraph.summaries import (
-            DEFAULT_UNKNOWN_CALL_CYCLES,
-            CalleeSummaryStore,
-        )
+        # imported lazily: repro.callgraph builds on repro.project.model, so a
+        # module-level import would be circular through the package __init__
+        from ..callgraph.graph import DEFAULT_UNKNOWN_CALL_CYCLES
 
         self._project = project
         self._config = config or AnalyzerConfig()
@@ -324,7 +308,8 @@ class ProjectScheduler:
             if unknown_call_cycles is None
             else unknown_call_cycles
         )
-        self._summaries = CalleeSummaryStore()
+        #: qualified name -> WCET bound of every completed job
+        self._bounds: dict[str, int] = {}
         self._jobs: list[AnalysisJob] | None = None
         self._fault_plan = fault_plan or FaultPlan()
         self._retry_policy = retry_policy or RetryPolicy(
@@ -413,8 +398,6 @@ class ProjectScheduler:
         """
         if self._jobs is not None:
             return self._jobs
-        # imported lazily: repro.callgraph builds on repro.project.model, so a
-        # module-level import would be circular through the package __init__
         from ..callgraph.graph import CallGraph
 
         graph = CallGraph.from_project(self._project)
@@ -429,7 +412,6 @@ class ProjectScheduler:
             unknown_call_cycles=self._unknown_call_cycles
         )
         dependencies = graph.dependencies()
-        reaches_cycle = graph.reaches_cycle()
         index_of = {
             function.qualified_name: index
             for index, function in enumerate(functions)
@@ -437,25 +419,17 @@ class ProjectScheduler:
         jobs: list[AnalysisJob] = []
         for index, function in enumerate(functions):
             qualified = function.qualified_name
-            node = graph.node(qualified)
             jobs.append(
                 AnalysisJob(
                     job_id=index,
-                    function=function,
+                    node=graph.node(qualified),
                     cache_key=self._cache.key_for(
                         fingerprints[qualified], self._config
                     ),
                     deps=tuple(
                         index_of[callee]
                         for callee in dependencies[qualified]
-                        if callee in index_of
                     ),
-                    resolved_map=dict(node.resolved),
-                    cyclic_call_names=graph.cyclic_callee_names(qualified),
-                    unsummarisable=node.unsummarisable,
-                    ambiguous_call_names=node.ambiguous,
-                    reaches_recursion=qualified in reaches_cycle,
-                    site_counts=dict(node.calls.sites),
                     transitive_fingerprint=fingerprints[qualified],
                 )
             )
@@ -490,7 +464,17 @@ class ProjectScheduler:
             if root is not None:
                 self.trace_id = root.trace_id
 
-            waves = self._waves(jobs)
+            # the call graph's waves restricted to this run's jobs; within a
+            # wave, jobs keep their (unit, name) order
+            by_name = {job.qualified_name: job for job in jobs}
+            waves = [
+                sorted(
+                    (by_name[name] for name in names if name in by_name),
+                    key=lambda job: job.job_id,
+                )
+                for names in self.callgraph.waves()
+            ]
+            waves = [wave for wave in waves if wave]
             self.waves_executed = len(waves)
             obs.count("project.scheduler.waves", len(waves))
             for wave_index, wave in enumerate(waves):
@@ -502,7 +486,12 @@ class ProjectScheduler:
                 with obs.stage("project.wave", wave=wave_index, jobs=len(ready)):
                     runnable = self._probe_cache(ready)
                     self._execute(runnable)
-                self._harvest_summaries(wave)
+                # completed bounds feed the callers of later waves
+                self._bounds.update(
+                    (job.qualified_name, job.summary.wcet_bound_cycles)
+                    for job in wave
+                    if job.summary is not None
+                )
 
             if self._replay_failures:
                 # a store entry whose witness no longer replays is hard
@@ -576,51 +565,6 @@ class ProjectScheduler:
         )
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _waves(jobs: list[AnalysisJob]) -> list[list[AnalysisJob]]:
-        """Topological waves of the dependency graph (callees before callers)."""
-        done: set[int] = set()
-        remaining = list(jobs)
-        waves: list[list[AnalysisJob]] = []
-        while remaining:
-            wave = [job for job in remaining if all(d in done for d in job.deps)]
-            if not wave:
-                cycle = ProjectScheduler._find_dependency_cycle(remaining)
-                raise ProjectError(
-                    "job graph contains a dependency cycle: "
-                    + " -> ".join(cycle)
-                )
-            waves.append(wave)
-            done.update(job.job_id for job in wave)
-            remaining = [job for job in remaining if job.job_id not in done]
-        return waves
-
-    @staticmethod
-    def _find_dependency_cycle(remaining: list[AnalysisJob]) -> list[str]:
-        """Name the functions on one dependency cycle among *remaining* jobs."""
-        by_id = {job.job_id: job for job in remaining}
-        visited: set[int] = set()
-        for start in remaining:
-            if start.job_id in visited:
-                continue
-            path: list[int] = []
-            position: dict[int, int] = {}
-            current: AnalysisJob | None = start
-            while current is not None:
-                if current.job_id in position:
-                    cycle = path[position[current.job_id]:] + [current.job_id]
-                    return [by_id[job_id].qualified_name for job_id in cycle]
-                if current.job_id in visited:
-                    break
-                position[current.job_id] = len(path)
-                path.append(current.job_id)
-                current = next(
-                    (by_id[d] for d in current.deps if d in by_id), None
-                )
-            visited.update(path)
-        # unsatisfiable deps that point outside the job graph, not a cycle
-        return sorted(job.qualified_name for job in remaining)
-
     def _fail_on_broken_deps(
         self, job: AnalysisJob, jobs: list[AnalysisJob]
     ) -> bool:
@@ -641,69 +585,6 @@ class ProjectScheduler:
         self._notify(job)
         return True
 
-    def _callee_bounds_for(self, job: AnalysisJob) -> dict[str, int]:
-        """The per-call-name charges of one job, fixed before its wave runs.
-
-        Summarisable resolved callees charge their computed bound; calls
-        into the job's own recursion cycle and ambiguous names charge the
-        pessimistic unknown-call cost; callees flagged unsummarisable by
-        the call graph are left out entirely, so the board inlines their
-        real body (the seed behaviour) instead of stubbing it.  The map is
-        then closed over those inlined bodies: the calls *they* make keep
-        exactly the charges they had in the callee's own standalone
-        analysis, so inlining never silently downgrades an interprocedural
-        charge to the default external cost.
-        """
-        summarisable = {
-            call_name: callee
-            for call_name, callee in job.resolved_map.items()
-            if call_name not in job.unsummarisable
-        }
-        bounds = self._summaries.bounds_for(
-            summarisable,
-            cyclic_names=job.cyclic_call_names,
-            unknown_call_cycles=self._unknown_call_cycles,
-        )
-        for call_name in job.ambiguous_call_names:
-            bounds[call_name] = self._unknown_call_cycles
-        if job.unsummarisable:
-            frontier = [job.resolved_map[name] for name in job.unsummarisable]
-            visited: set[str] = set()
-            demanded_inline = set(job.unsummarisable)
-            while frontier:
-                qualified = frontier.pop()
-                if qualified in visited:
-                    continue
-                visited.add(qualified)
-                inlined = self.callgraph.node(qualified)
-                # names this body needs executed for real (e.g. a callee
-                # whose return value it uses) must not be stubbed on the
-                # caller's board either, even if the caller's own call to
-                # the same name could have been summarised
-                demanded_inline.update(inlined.unsummarisable)
-                inner = self._summaries.bounds_for(
-                    {
-                        call_name: callee
-                        for call_name, callee in inlined.resolved.items()
-                        if call_name not in inlined.unsummarisable
-                    },
-                    cyclic_names=self.callgraph.cyclic_callee_names(qualified),
-                    unknown_call_cycles=self._unknown_call_cycles,
-                )
-                for call_name in inlined.ambiguous:
-                    inner[call_name] = self._unknown_call_cycles
-                for call_name, bound in inner.items():
-                    bounds.setdefault(call_name, bound)
-                frontier.extend(
-                    inlined.resolved[name] for name in inlined.unsummarisable
-                )
-            for call_name in demanded_inline:
-                # never un-stub a call into the job's own recursion cycle:
-                # inlining it would not terminate
-                if call_name not in job.cyclic_call_names:
-                    bounds.pop(call_name, None)
-        return bounds
-
     def _job_config(self, job: AnalysisJob) -> AnalyzerConfig:
         """The analyzer config for one job.
 
@@ -714,39 +595,17 @@ class ProjectScheduler:
         unbounded recursion would only die against the interpreter's step
         budget.
         """
-        if job.reaches_recursion and self._config.exhaustive_limit is not None:
+        recursive = job.qualified_name in self.callgraph.reaches_cycle()
+        if recursive and self._config.exhaustive_limit is not None:
             return dataclasses.replace(self._config, exhaustive_limit=None)
         return self._config
-
-    def _harvest_summaries(self, wave: list[AnalysisJob]) -> None:
-        """Feed the wave's completed bounds to the callers of later waves."""
-        from ..callgraph.summaries import CalleeSummary
-
-        for job in wave:
-            if job.summary is None:
-                continue
-            self._summaries.add(
-                CalleeSummary(
-                    qualified_name=job.qualified_name,
-                    call_name=job.function.name,
-                    wcet_bound_cycles=job.summary.wcet_bound_cycles,
-                    transitive_fingerprint=job.transitive_fingerprint,
-                    from_cache=job.summary.from_cache,
-                )
-            )
 
     def _probe_cache(self, wave: list[AnalysisJob]) -> list[AnalysisJob]:
         """Resolve cached jobs; return the ones that must actually run."""
         runnable: list[AnalysisJob] = []
         for job in wave:
-            job.callee_bounds = self._callee_bounds_for(job)
-            job.summary_sites = sum(
-                job.site_counts.get(name, 0)
-                for name in job.callee_bounds
-                if name in job.resolved_map
-                and name not in job.cyclic_call_names
-                and name not in job.ambiguous_call_names
-                and self._summaries.get(job.resolved_map[name]) is not None
+            job.callee_bounds, job.summary_sites = self.callgraph.charges(
+                job.qualified_name, self._bounds, self._unknown_call_cycles
             )
             summary = self._cache.get(job.cache_key)
             if summary is not None:
@@ -772,7 +631,7 @@ class ProjectScheduler:
         summary.unit = job.function.unit
         summary.function = job.function.name
         summary.wave = job.wave
-        summary.callees = list(job.resolved_callees)
+        summary.callees = sorted(set(job.node.resolved.values()))
         # the analyzer counts every interprocedurally-charged site; the
         # reuse metric only counts the ones backed by a genuine summary
         summary.summarised_call_sites = job.summary_sites

@@ -13,12 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.callgraph import (
-    DEFAULT_UNKNOWN_CALL_CYCLES,
-    CallGraph,
-    CalleeSummary,
-    CalleeSummaryStore,
-)
+from repro.callgraph import DEFAULT_UNKNOWN_CALL_CYCLES, CallGraph
 from repro.minic import called_names, parse_and_analyze
 from repro.pipeline.analyzer import AnalyzerConfig, WcetAnalyzer
 from repro.project import (
@@ -279,36 +274,26 @@ class TestTransitiveFingerprints:
         assert low["a.c:plain"] == high["a.c:plain"]
 
 
-class TestCalleeSummaryStore:
-    def test_bounds_for_prefers_summaries_and_falls_back(self):
-        store = CalleeSummaryStore()
-        store.add(
-            CalleeSummary(
-                qualified_name="u.c:leaf", call_name="leaf", wcet_bound_cycles=57
-            )
+class TestCharges:
+    def test_charges_prefer_bounds_and_fall_back(self):
+        project = project_of(
+            a_c="Int16 g = 0;\nInt16 g1 = 0;\nInt16 g2 = 0;\n"
+            "void leaf(void) { g1 = 1; }\n"
+            "void missing(void) { g2 = 2; }\n"
+            "void coupled(void) { g = x; }\n"
+            "void rec(void) { if (x > 0) { rec(); } leaf(); missing(); }\n"
+            "void caller(void) { rec(); coupled(); out = out + g; }\n"
         )
-        bounds = store.bounds_for(
-            {"leaf": "u.c:leaf", "missing": "u.c:missing", "self": "u.c:self"},
-            cyclic_names=("self",),
-            unknown_call_cycles=999,
+        graph = CallGraph.from_project(project)
+        bounds = {"a.c:leaf": 57, "a.c:rec": 300, "a.c:coupled": 20}
+        # summary -> bound, missing bound -> unknown, cyclic -> unknown
+        assert graph.charges("a.c:rec", bounds, 999) == (
+            {"leaf": 57, "missing": 999, "rec": 999},
+            1,
         )
-        assert bounds == {"leaf": 57, "missing": 999, "self": 999}
-
-
-# ---------------------------------------------------------------------- #
-class TestSchedulerCycleError:
-    def test_waves_error_names_functions_on_cycle(self, chain_project):
-        scheduler = ProjectScheduler(chain_project, config=quick_config())
-        jobs = scheduler.jobs()
-        by_name = {job.function.name: job for job in jobs}
-        # manufacture a dependency cycle task_0 -> chain_leaf -> task_0
-        by_name["chain_leaf"].deps = (by_name["task_0"].job_id,)
-        with pytest.raises(ProjectError) as error:
-            ProjectScheduler._waves(jobs)
-        message = str(error.value)
-        assert "dependency cycle" in message
-        assert "unit_0.c:chain_leaf" in message
-        assert "unit_0.c:task_0" in message
+        # unsummarisable -> absent (coupled is inlined on caller's board)
+        assert graph.node("a.c:caller").unsummarisable == ("coupled",)
+        assert graph.charges("a.c:caller", bounds, 999) == ({"rec": 300}, 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -541,6 +526,26 @@ class TestSummarisationSafety:
         assert by_name["caller"].callee_bounds_used == {
             "helper": by_name["helper"].wcet_bound_cycles
         }
+
+    def test_ambiguous_call_inside_inlined_body_charged_unknown(self):
+        """An ambiguous name called from an inlined body keeps the
+        pessimistic unknown-call charge on the caller's board."""
+        project = project_of(
+            a_c="Int16 g = 0;\n"
+            "void mid(void) { g = x; helper(); }\n"
+            "void caller(void) { mid(); out = out + g; }\n",
+            b_c="void helper(void) { out = out + 2; }\n",
+            c_c="void helper(void) { out = out + 3; }\n",
+        )
+        graph = CallGraph.from_project(project)
+        assert graph.node("a.c:caller").unsummarisable == ("mid",)
+        assert graph.node("a.c:mid").ambiguous == ("helper",)
+        report = ProjectScheduler(
+            project, config=quick_config(), unknown_call_cycles=777
+        ).run()
+        assert not report.failures
+        caller = next(s for s in report.functions if s.function == "caller")
+        assert caller.callee_bounds_used == {"helper": 777}
 
     def test_value_use_inside_inlined_body_unstubs_the_shared_callee(self):
         """b is inlined into a and uses probe's return value; a also calls

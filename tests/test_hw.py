@@ -196,6 +196,21 @@ class TestTracesAndEvents:
         near = board.run("f", {"v": 89}).branch_events[0].distance_true
         assert near < far
 
+    def test_branch_distances_use_wrapped_values(self):
+        """b * b wraps to -25536 for b = 200, so the TRUE side is taken and
+        must read distance 0, like any taken outcome."""
+        source = (
+            "#pragma input a\n#pragma range a 0 255\n"
+            "UInt8 a; UInt8 b; Int16 out;\n"
+            "int main() { b = a; if (b * b < 10) { out = 1; } else { out = 2; }"
+            " return 0; }"
+        )
+        run = board_for(source).run("main", {"a": 200})
+        event = run.branch_events[0]
+        assert event.outcome is True
+        assert event.distance_true == 0.0
+        assert event.distance_false > 0.0
+
     def test_switch_events_recorded(self):
         source = """
         #pragma input s

@@ -262,7 +262,6 @@ class TestCrashSafeCache:
         cache.put(key, self.SUMMARY)
         cache.put(key, self.SUMMARY)
         assert cache.write_failures == 2
-        assert cache.store_failures == 2  # backwards-compatible alias
         assert len([d for d in cache.diagnostics if "write" in d]) == 1
         # third write goes through
         cache.put(key, self.SUMMARY)
